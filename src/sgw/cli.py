@@ -262,7 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"sgw: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GuardExceededError, BoundExceededError, TooLargeError,
-            OrderTooLargeError) as exc:
+            OrderTooLargeError, RecursionError) as exc:
         print(f"sgw: guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except SgwError as exc:

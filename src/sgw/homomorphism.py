@@ -17,7 +17,6 @@ switching-automorphism group.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -225,44 +224,6 @@ def _bits(mask: int):
         mask ^= b
 
 
-def _local_search(
-    g: SignedGraph, h: SignedGraph, seed: int, max_steps: int
-) -> Optional[SignedHomomorphism]:
-    """Seeded min-conflicts search for a homomorphism; None means only
-    that none was found within the step budget (never a proof)."""
-    if g.n == 0 or g.m == 0 or h.m == 0:
-        return None
-    allowed, _ = _target_search_data(h)
-    rng = random.Random((seed, g.n, g.m, h.edges).__hash__())
-    nlits = 2 * h.n
-    lits = [rng.randrange(nlits) for _ in range(g.n)]
-
-    def conflicts(v: int, lit: int) -> int:
-        return sum(
-            1
-            for w, s in g.adjacency[v]
-            if not (allowed[s][lit] >> lits[w]) & 1
-        )
-
-    for step in range(max_steps):
-        violated = [
-            (u, v, s) for u, v, s in g.edges if not (allowed[s][lits[u]] >> lits[v]) & 1
-        ]
-        if not violated:
-            return SignedHomomorphism(
-                tuple(lit >> 1 for lit in lits),
-                frozenset(v for v in range(g.n) if lits[v] & 1),
-            )
-        u, v, _ = violated[rng.randrange(len(violated))]
-        pick_v = rng.choice((u, v))
-        if rng.random() < 0.1:
-            lits[pick_v] = rng.randrange(nlits)
-            continue
-        best = min(range(nlits), key=lambda lit: (conflicts(pick_v, lit), lit))
-        lits[pick_v] = best
-    return None
-
-
 # -- target enumeration and chromatic number --------------------------
 
 
@@ -359,27 +320,9 @@ def chromatic_number(
     start = max(lo or 1, base, 1)
     cap = min(hi, TARGET_ORDER_CAP) if hi is not None else TARGET_ORDER_CAP
     exhausted = {}
-
-    def certificate(k, target, phi):
-        return ChromaticCertificate(
-            k=k,
-            target=target,
-            hom=phi,
-            lower_bound_evidence={
-                "underlying_chromatic": base,
-                "exhausted_orders": dict(exhausted),
-            },
-        )
-
     for k in range(start, cap + 1):
         targets = enumerate_targets(k)
-        # cheap satisfiable-side pass first: seeded local search per target
-        for target in targets:
-            if g.n > 8:  # tiny inputs are faster by exact search alone
-                phi = _local_search(g, target, seed=0, max_steps=40 * g.n * k)
-                if phi is not None and validate(g, target, phi):
-                    return certificate(k, target, phi)
-        # complete pass, interleaving targets with growing node budgets so
+        # complete search, interleaving targets with growing node budgets so
         # one hard-to-refute target cannot starve an easy satisfiable one
         budget = 20_000
         undecided = list(targets)
@@ -388,7 +331,15 @@ def chromatic_number(
             for target in undecided:
                 status, phi = _find_budgeted(g, target, budget)
                 if status == "sat":
-                    return certificate(k, target, phi)
+                    return ChromaticCertificate(
+                        k=k,
+                        target=target,
+                        hom=phi,
+                        lower_bound_evidence={
+                            "underlying_chromatic": base,
+                            "exhausted_orders": exhausted,
+                        },
+                    )
                 if status == "unknown":
                     still.append(target)
             undecided = still

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 from .constructions import (
     build_grid,
@@ -123,21 +120,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SGW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_entries(tasks: list[Callable[[], ReportEntry]]) -> list:
-    workers = _worker_count()
-    if workers == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
 def _timed(fn) -> tuple[object, float]:
     start = time.perf_counter()
     result = fn()
@@ -189,17 +171,15 @@ def verify_cycle_table(max_len: int = 6) -> Report:
             elapsed=elapsed,
         )
 
-    tasks = []
-    for ca, lens_a in _CLASS_LENGTHS.items():
-        for cb, lens_b in _CLASS_LENGTHS.items():
-            for la in lens_a:
-                if la > max_len:
-                    continue
-                for lb in lens_b:
-                    if lb > max_len:
-                        continue
-                    tasks.append(lambda a=ca, x=la, b=cb, y=lb: entry(a, x, b, y))
-    report.entries = _run_entries(tasks)
+    report.entries = [
+        entry(ca, la, cb, lb)
+        for ca, lens_a in _CLASS_LENGTHS.items()
+        for cb, lens_b in _CLASS_LENGTHS.items()
+        for la in lens_a
+        if la <= max_len
+        for lb in lens_b
+        if lb <= max_len
+    ]
     return report
 
 
@@ -231,13 +211,12 @@ def verify_kpq(max_p: int, max_q: int) -> Report:
             elapsed=elapsed,
         )
 
-    tasks = [
-        lambda p=p, q=q: entry(p, q)
+    report.entries = [
+        entry(p, q)
         for p in range(2, max_p + 1)
         for q in range(2, max_q + 1)
         if p * q <= 12
     ]
-    report.entries = _run_entries(tasks)
     return report
 
 
@@ -266,13 +245,12 @@ def verify_uc_bc_gap(max_q: int, max_p: int) -> Report:
             elapsed=elapsed,
         )
 
-    tasks = [
-        lambda q=q, odd=odd: entry(q, odd)
+    report.entries = [
+        entry(q, odd)
         for q in range(3, max_q + 1)
         for odd in range(3, max_p + 1, 2)
         if q * odd <= 30
     ]
-    report.entries = _run_entries(tasks)
     return report
 
 
@@ -324,7 +302,7 @@ def verify_grid_fig1c() -> Report:
             elapsed=elapsed,
         )
 
-    report.entries = _run_entries([chi_entry, positive_entry, palette_entry])
+    report.entries = [chi_entry(), positive_entry(), palette_entry()]
     return report
 
 
@@ -360,7 +338,7 @@ def verify_k4_classes() -> Report:
             elapsed=elapsed,
         )
 
-    report.entries = _run_entries([entry])
+    report.entries = [entry()]
     return report
 
 
@@ -413,5 +391,5 @@ def verify_k18(unbounded: bool = False) -> Report:
             elapsed=elapsed,
         )
 
-    report.entries = _run_entries([data_entry, chi_entry])
+    report.entries = [data_entry(), chi_entry()]
     return report

@@ -104,6 +104,16 @@ class TestCommands:
         path = write_graph(tmp_path, "k8.sg", make("K_plus", 8))
         assert main(["chi", path]) == EXIT_GUARD
 
+    def test_chi_recursion_limit_is_guard_exit(self, tmp_path, capsys,
+                                               monkeypatch):
+        def deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("sgw.cli.chromatic_number", deep)
+        path = write_graph(tmp_path, "uc4.sg", make("UC", 4))
+        assert main(["chi", path]) == EXIT_GUARD
+        assert capsys.readouterr().err.startswith("sgw: guard exceeded: ")
+
     def test_equiv_positive(self, tmp_path, capsys):
         g = make("BC", 5)
         a = write_graph(tmp_path, "a.sg", g)

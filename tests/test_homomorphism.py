@@ -123,7 +123,8 @@ class TestChromaticNumber:
     @pytest.mark.parametrize(
         "name,length,expected",
         [("BC", 4, 2), ("BC", 3, 3), ("UC", 4, 4), ("UC", 3, 3),
-         ("BC", 6, 2), ("UC", 5, 3)],
+         ("BC", 6, 2), ("UC", 5, 3), ("BC", 400, 2), ("UC", 201, 3),
+         ("BC", 201, 3)],
     )
     def test_cycles(self, name, length, expected):
         cert = chromatic_number(make(name, length))
