@@ -4,8 +4,8 @@ Graph files use a plain text format: a header line ``sg <n>`` followed by
 one line per edge ``u v s`` with ``s`` either ``+`` or ``-``; lines
 starting with ``#`` are comments.  ``-`` as a file name means stdin or
 stdout.  Exit codes: 0 success, 1 usage error, 2 parse or invariant
-failure, 3 mathematically negative answer (not equivalent, unbalanced,
-no homomorphism), 4 resource guard exceeded.
+failure or any other unexpected error, 3 mathematically negative answer
+(not equivalent, unbalanced, no homomorphism), 4 resource guard exceeded.
 """
 
 from __future__ import annotations
@@ -267,6 +267,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_GUARD
     except SgwError as exc:
         print(f"sgw: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except Exception as exc:
+        print(f"sgw: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_PARSE
 
 

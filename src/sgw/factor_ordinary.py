@@ -4,11 +4,24 @@ Signs are ignored here; the factors come back as all-positive SignedGraph
 values.  The approach is edge-color refinement: a union-find over edges is
 seeded with the local square rules (adjacent edges lying in no unique
 chordless square, or in a triangle or chorded square, get the same color;
-opposite edges of chordless squares get the same color), then a coordinate
-system is extracted and verified by exact reconstruction.  Any verification
-failure merges the offending colors and retries, so the result is always a
-genuine product decomposition; termination is immediate since the color
-count strictly drops.
+opposite edges of chordless squares get the same color, joined once per
+square at its least corner).  Then a coordinate system is extracted and
+verified by exact reconstruction.
+
+Coordinates: for each color c, the base layer is the c-colored component
+of vertex 0, and a vertex's c-th coordinate is the index of its nearest
+base-layer vertex.  One BFS started from the whole base layer at once
+computes them: each base-layer vertex labels itself, and every other
+vertex takes the label of its shortest-path predecessors.  Its nearest
+base-layer vertices are the union of its predecessors', so a tie (two
+nearest vertices) shows first at a vertex whose predecessors carry
+different labels, and every vertex reached through it is tied too.  Any
+tie rejects the coloring.  With k <= log2(n) colors this costs
+O(k * (n + m)).
+
+Any verification failure merges the offending colors and retries, so the
+result is always a genuine product decomposition; termination is immediate
+since the color count strictly drops.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import SignedGraph, bfs_order, is_connected
+from .core import SignedGraph, is_connected
 from .errors import DisconnectedError, InternalInvariantViolation, NoEdgesError
 from .product import CoordinateSystem
 
@@ -109,9 +122,13 @@ def _seed_square_rules(g, adj, eid, ds):
                         chorded = True
                     else:
                         chordless.append(w)
-                for w in chordless:
-                    ds.union(exy, eid[(z, w)])
-                    ds.union(exz, eid[(y, w)])
+                # each chordless square is met from all four corners with
+                # the same two opposite-edge unions; make them at the least
+                if x < y and x < z:
+                    for w in chordless:
+                        if x < w:
+                            ds.union(exy, eid[(z, w)])
+                            ds.union(exz, eid[(y, w)])
                 if chorded or len(chordless) != 1:
                     ds.union(exy, exz)
 
@@ -155,33 +172,20 @@ def _coordinatize(g, eid, ds) -> OrdinaryDecomposition:
         raise _MergeHint(ds.find(0), ds.find(_largest_other(ds, g.m)))
 
     # coordinates via nearest-vertex projections onto the base layers
-    coords = [None] * g.n
-    dist_from = {}
-    for c in range(k):
-        for w in layer_verts[c]:
-            if w not in dist_from:
-                _, dist_from[w] = bfs_order(g, w)
-    pos_in_layer = [
-        {w: i for i, w in enumerate(lv)} for lv in layer_verts
-    ]
-    for u in range(g.n):
-        cu = []
-        for c in range(k):
-            best, best_d, ties = None, None, 0
-            for w in layer_verts[c]:
-                d = dist_from[w][u]
-                if best_d is None or d < best_d:
-                    best, best_d, ties = w, d, 1
-                elif d == best_d:
-                    ties += 1
-            if ties != 1:
-                raise _MergeHint(roots[0], roots[1 % k] if k > 1 else roots[0])
-            cu.append(pos_in_layer[c][best])
-        coords[u] = tuple(cu)
+    per_color = []
+    for lv in layer_verts:
+        labels = _nearest_labels(g, lv)
+        if labels is None:
+            raise _MergeHint(roots[0], roots[1 % k] if k > 1 else roots[0])
+        per_color.append(labels)
+    coords = list(zip(*per_color))
     if len(set(coords)) != g.n:
         raise _MergeHint(roots[0], roots[min(1, k - 1)])
 
     # factor graphs from the base layers
+    pos_in_layer = [
+        {w: i for i, w in enumerate(lv)} for lv in layer_verts
+    ]
     factors = []
     for c in range(k):
         verts = layer_verts[c]
@@ -221,6 +225,34 @@ def _coordinatize(g, eid, ds) -> OrdinaryDecomposition:
     return OrdinaryDecomposition(tuple(factors), cs, {
         (u, v): color[(u, v)] for u, v, _ in g.edges
     })
+
+
+def _nearest_labels(g, layer):
+    """Index in ``layer`` of each vertex's unique nearest layer vertex.
+
+    One BFS from every layer vertex at once.  The nearest layer vertices
+    of u are the union of those of its shortest-path predecessors, so
+    some vertex has two of them exactly when some vertex sees two
+    predecessors with different labels; then the result is None.
+    """
+    label = [-1] * g.n
+    dist = [-1] * g.n
+    for i, w in enumerate(layer):
+        label[w] = i
+        dist[w] = 0
+    queue = deque(layer)
+    while queue:
+        v = queue.popleft()
+        dv = dist[v] + 1
+        lab = label[v]
+        for u, _ in g.adjacency[v]:
+            if dist[u] < 0:
+                dist[u] = dv
+                label[u] = lab
+                queue.append(u)
+            elif dist[u] == dv and label[u] != lab:
+                return None
+    return label
 
 
 def _largest_other(ds, m):

@@ -113,3 +113,53 @@ def reconstruct_product(factors, coords) -> SignedGraph:
             if factors[i].has_edge(a, b):
                 edges.append((u, v, factors[i].sign(a, b)))
     return SignedGraph(n, edges)
+
+
+def _bfs_distances(nbrs, root):
+    """Distance from ``root`` to every vertex it reaches; keys in BFS order."""
+    dist = {root: 0}
+    queue = [root]
+    for u in queue:
+        for v in nbrs[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def nearest_layer_positions(g: SignedGraph, layer):
+    """Position in ``layer`` of each vertex's nearest layer vertex, from one
+    BFS per layer vertex; None when some vertex has two nearest ones."""
+    nbrs = {u: sorted(v for v, _ in g.adjacency[u]) for u in range(g.n)}
+    dists = [_bfs_distances(nbrs, w) for w in layer]
+    out = []
+    for u in range(g.n):
+        row = [d[u] for d in dists]
+        best = min(row)
+        if row.count(best) != 1:
+            return None
+        out.append(row.index(best))
+    return out
+
+
+def nearest_projection_coords(g: SignedGraph, edge_color):
+    """Coordinates of a connected graph under an edge coloring.
+
+    The base layer of color c is the c-colored component of vertex 0 in
+    BFS order, neighbors ascending; a vertex's c-th coordinate is the
+    position of its nearest base-layer vertex.  None on any tie.
+    """
+    per_color = []
+    for c in range(max(edge_color.values()) + 1):
+        nbrs = {u: [] for u in range(g.n)}
+        for (u, v), col in edge_color.items():
+            if col == c:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        for lst in nbrs.values():
+            lst.sort()
+        positions = nearest_layer_positions(g, list(_bfs_distances(nbrs, 0)))
+        if positions is None:
+            return None
+        per_color.append(positions)
+    return [tuple(c) for c in zip(*per_color)]

@@ -114,6 +114,17 @@ class TestCommands:
         assert main(["chi", path]) == EXIT_GUARD
         assert capsys.readouterr().err.startswith("sgw: guard exceeded: ")
 
+    def test_unexpected_error_is_parse_exit(self, tmp_path, capsys,
+                                            monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("lost")
+
+        monkeypatch.setattr("sgw.cli.s_decompose", broken)
+        path = write_graph(tmp_path, "c4.sg", make("BC", 4))
+        assert main(["decompose", path]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(
+            "sgw: internal error: KeyError: ")
+
     def test_equiv_positive(self, tmp_path, capsys):
         g = make("BC", 5)
         a = write_graph(tmp_path, "a.sg", g)

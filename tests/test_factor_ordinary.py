@@ -2,17 +2,48 @@ import random
 
 import pytest
 
+from sgw import factor_ordinary
 from sgw.constructions import make
-from sgw.core import SignedGraph, build
+from sgw.core import SignedGraph, build, is_connected
 from sgw.errors import DisconnectedError, NoEdgesError
 from sgw.factor_ordinary import DisjointSet, factorize, is_prime_ordinary
 from sgw.product import product_many
 
-from oracles import random_connected_signed_graph, reconstruct_product
+from oracles import (
+    nearest_layer_positions,
+    nearest_projection_coords,
+    random_connected_signed_graph,
+    reconstruct_product,
+)
 
 
 def all_positive(g: SignedGraph) -> SignedGraph:
     return g.with_signs({(u, v): 1 for u, v, _ in g.edges})
+
+
+def circulant(p: int, b: int) -> SignedGraph:
+    pairs = {(min(i, (i + d) % p), max(i, (i + d) % p))
+             for i in range(p) for d in (1, b)}
+    return SignedGraph(p, [(u, v, 1) for u, v in sorted(pairs)])
+
+
+def toggle_edge(rng: random.Random, g: SignedGraph) -> SignedGraph:
+    """g with one random vertex pair's adjacency flipped."""
+    u, v = sorted(rng.sample(range(g.n), 2))
+    pairs = {(a, b) for a, b, _ in g.edges} ^ {(u, v)}
+    return SignedGraph(g.n, [(a, b, 1) for a, b in sorted(pairs)])
+
+
+def coordinatize_with(g: SignedGraph, classes):
+    """Run the coordinate extraction on g under a hand-made edge coloring."""
+    eid = {}
+    for idx, (u, v, _) in enumerate(g.edges):
+        eid[(u, v)] = eid[(v, u)] = idx
+    ds = DisjointSet(g.m)
+    for cls in classes:
+        for e in cls[1:]:
+            ds.union(eid[cls[0]], eid[e])
+    return factor_ordinary._coordinatize(g, eid, ds)
 
 
 class TestDisjointSet:
@@ -86,3 +117,62 @@ class TestFactorize:
             factorize(build(4, [(0, 1, 1), (2, 3, 1)]))
         with pytest.raises(DisconnectedError):
             is_prime_ordinary(build(4, [(0, 1, 1), (2, 3, 1)]))
+
+
+class TestCoordinates:
+    def test_match_nearest_projection_oracle(self):
+        rng = random.Random(29)
+        graphs = []
+        for _ in range(60):
+            factors = [
+                rng.choice((make("BC", rng.randint(3, 7)),
+                            make("K_plus", rng.randint(2, 5))))
+                for _ in range(rng.randint(2, 3))
+            ]
+            g, _ = product_many(factors)
+            flipped = toggle_edge(rng, g)
+            graphs += [g, random_connected_signed_graph(rng, 2, 12)]
+            if is_connected(flipped):
+                graphs.append(flipped)
+        graphs += [circulant(p, b) for p in (11, 13, 29, 31, 101)
+                   for b in (2, 3, 5, 7)]
+        for g in graphs:
+            dec = factorize(g)
+            assert list(dec.coords.coords) == nearest_projection_coords(
+                g, dec.edge_color)
+
+    def test_nearest_labels_match_oracle_on_any_layer(self):
+        # arbitrary vertex sets, so ties are common
+        rng = random.Random(31)
+        ties = 0
+        for _ in range(300):
+            g = random_connected_signed_graph(rng, 2, 10)
+            layer = rng.sample(range(g.n), rng.randint(1, g.n))
+            expected = nearest_layer_positions(g, layer)
+            ties += expected is None
+            assert factor_ordinary._nearest_labels(g, layer) == expected
+        assert 0 < ties < 300
+
+    def test_tie_raises_merge_hint(self):
+        # C6 with {01, 34} colored apart from the rest: the layers through 0
+        # are [0, 1] and [0, 5, 4], so 2 x 3 = 6 vertices, but vertex 2 is
+        # at distance 2 from both 0 and 4
+        g = make("BC", 6)
+        with pytest.raises(factor_ordinary._MergeHint) as hint:
+            coordinatize_with(g, [[(0, 1), (3, 4)],
+                                  [(1, 2), (2, 3), (4, 5), (0, 5)]])
+        assert (hint.value.a, hint.value.b) == (0, 1)
+        assert nearest_layer_positions(g, [0, 5, 4]) is None
+        assert factor_ordinary._nearest_labels(g, [0, 5, 4]) is None
+
+    def test_layer_sizes_not_multiplying_to_n_raise_first(self, monkeypatch):
+        def unreachable(g, layer):
+            raise AssertionError("projection ran after a size mismatch")
+
+        monkeypatch.setattr(factor_ordinary, "_nearest_labels", unreachable)
+        # {01} alone: layers of 2 and 6 vertices, 12 != 6
+        g = make("BC", 6)
+        with pytest.raises(factor_ordinary._MergeHint) as hint:
+            coordinatize_with(g, [[(0, 1)],
+                                  [(0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]])
+        assert (hint.value.a, hint.value.b) == (0, 1)
