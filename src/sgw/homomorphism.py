@@ -12,6 +12,13 @@ literal with bitmask forward checking.  Symmetries used: the switch bit
 of the first vertex of each component is pinned to 0, and the image of
 that vertex is restricted to one representative per orbit of the target's
 switching-automorphism group.
+
+The search is iterative, with an explicit stack, so its depth is not
+bounded by Python's recursion limit.  It is also resumable: it pauses
+after every turn of g.n + 1 nodes (one backtrack-free descent) and
+resumes where it stopped.  ``chromatic_number`` runs the targets of an
+order round-robin, one turn each, so a hard-to-refute target cannot
+starve an easy satisfiable one and no search is ever restarted.
 """
 
 from __future__ import annotations
@@ -109,59 +116,64 @@ def _target_search_data(h: SignedGraph):
     return _edge_masks(h), _switching_automorphism_orbits(h)
 
 
-class _Cutoff(Exception):
-    """Internal: node budget exhausted before the search finished."""
-
-
 def find_homomorphism(g: SignedGraph, h: SignedGraph) -> Optional[SignedHomomorphism]:
-    """Complete backtracking search; None only if no homomorphism exists."""
-    status, phi = _find_budgeted(g, h, None)
-    return phi
+    """Complete backtracking search; None only if no homomorphism exists.
+
+    Runs the resumable search of ``_search_turns`` through all its turns,
+    without pausing.  The search is iterative, so a component of any
+    size is searched without hitting Python's recursion limit.
+    """
+    for phi in _search_turns(g, h):
+        pass
+    return phi or None
 
 
-def _find_budgeted(
-    g: SignedGraph, h: SignedGraph, max_nodes: Optional[int]
-) -> tuple[str, Optional[SignedHomomorphism]]:
-    """Search with an optional node budget.
+def _search_turns(g: SignedGraph, h: SignedGraph):
+    """Resumable complete search for a homomorphism g -> h.
 
-    Returns ("sat", hom), ("unsat", None) or — only with a budget —
-    ("unknown", None).
+    Yields None after every turn of g.n + 1 search nodes (one
+    backtrack-free descent), so a caller can pause the search between
+    turns and resume it later without repeating work.  The last value it
+    yields is the homomorphism, or False when there is none.
     """
     if g.n == 0:
-        return "sat", SignedHomomorphism((), frozenset())
+        yield SignedHomomorphism((), frozenset())
+        return
     if h.n == 0 or (g.m > 0 and h.m == 0):
-        return "unsat", None
+        yield False
+        return
     allowed, orbit_reps = _target_search_data(h)
     full = (1 << (2 * h.n)) - 1
-    ticker = [max_nodes] if max_nodes is not None else None
-
-    assignment = [None] * g.n
-    try:
-        for comp in connected_components(g):
-            root = max(comp, key=lambda v: (g.degree(v), -v))
-            order, _ = bfs_order(g, root)  # covers exactly this component
-            root_domain = 0
-            for t in orbit_reps:
-                root_domain |= 1 << (2 * t)  # switch bit pinned to 0
-            sol = _search(g, order, allowed, full, root_domain, ticker)
-            if sol is None:
-                return "unsat", None
-            for v, lit in sol.items():
-                assignment[v] = lit
-    except _Cutoff:
-        return "unknown", None
-    return "sat", SignedHomomorphism(
+    root_domain = 0
+    for t in orbit_reps:
+        root_domain |= 1 << (2 * t)  # switch bit pinned to 0
+    assignment = [0] * g.n
+    for comp in connected_components(g):
+        root = max(comp, key=lambda v: (g.degree(v), -v))
+        order, _ = bfs_order(g, root)  # covers exactly this component
+        sol = yield from _search(g, order, allowed, full, root_domain)
+        if sol is None:
+            yield False
+            return
+        for v, lit in sol.items():
+            assignment[v] = lit
+    yield SignedHomomorphism(
         tuple(lit >> 1 for lit in assignment),
         frozenset(v for v in range(g.n) if assignment[v] & 1),
     )
 
 
-def _search(g, order, allowed, full, root_domain, ticker=None):
+def _search(g, order, allowed, full, root_domain):
     """Backtracking with forward checking over literal bitmask domains.
 
     Variables are chosen dynamically, smallest domain first (the root is
     forced first); forward checking prunes every unassigned neighbor on
     each assignment, so domains always reflect all assigned neighbors.
+    The search is iterative: ``stack`` holds one [variable, untried
+    literals, undo list of the literal being tried] frame per assigned
+    variable plus the one being tried.  A generator: it yields None after
+    every turn of g.n + 1 nodes and returns the {vertex: literal} map, or
+    None.
     """
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -169,59 +181,53 @@ def _search(g, order, allowed, full, root_domain, ticker=None):
     domains = [full] * n
     domains[0] = root_domain
     lits = [-1] * n
-
-    def pick() -> int:
-        best, best_size = -1, None
-        for j in range(n):
-            if lits[j] < 0:
-                size = domains[j].bit_count()
-                if best_size is None or size < best_size:
-                    best, best_size = j, size
-                    if size <= 1:
-                        break
-        return best
-
-    def assign(depth: int) -> bool:
-        if ticker is not None:
-            ticker[0] -= 1
-            if ticker[0] < 0:
-                raise _Cutoff
-        if depth == n:
-            return True
-        i = 0 if depth == 0 else pick()
-        for lit in _bits(domains[i]):
-            undo = []
-            ok = True
-            for j, s in nbrs[i]:
-                if lits[j] >= 0:
-                    continue
-                old = domains[j]
-                new = old & allowed[s][lit]
-                if new != old:
-                    undo.append((j, old))
-                    domains[j] = new
-                    if new == 0:
-                        ok = False
-                        break
-            if ok:
-                lits[i] = lit
-                if assign(depth + 1):
-                    return True
-                lits[i] = -1
-            for j, old in undo:
-                domains[j] = old
-        return False
-
-    if assign(0):
-        return {order[i]: lits[i] for i in range(n)}
+    width = full.bit_length()
+    turn = g.n + 1
+    stack = [[0, root_domain, ()]]
+    left = turn - 1  # the root node
+    while stack:
+        frame = stack[-1]
+        i, rest, undo = frame
+        lits[i] = -1
+        for j, old in undo:
+            domains[j] = old
+        if not rest:
+            stack.pop()
+            continue
+        low = rest & -rest
+        lit = low.bit_length() - 1
+        undo = []
+        frame[1] = rest ^ low
+        frame[2] = undo
+        for j, s in nbrs[i]:
+            if lits[j] >= 0:
+                continue
+            old = domains[j]
+            new = old & allowed[s][lit]
+            if new != old:
+                undo.append((j, old))
+                domains[j] = new
+                if not new:
+                    break
+        else:  # no domain wiped out
+            lits[i] = lit
+            if len(stack) == n:
+                return {order[i]: lits[i] for i in range(n)}
+            left -= 1
+            if not left:
+                yield None
+                left = turn
+            # smallest domain among the unassigned variables
+            best, best_size = -1, width + 1
+            for j in range(n):
+                if lits[j] < 0:
+                    size = domains[j].bit_count()
+                    if size < best_size:
+                        best, best_size = j, size
+                        if size <= 1:
+                            break
+            stack.append([best, domains[best], ()])
     return None
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 # -- target enumeration and chromatic number --------------------------
@@ -260,17 +266,38 @@ def enumerate_targets(k: int) -> tuple[SignedGraph, ...]:
 def underlying_chromatic_lower_bound(g: SignedGraph) -> int:
     """Lower bound for chi_s: exact chi of the underlying graph for
     n <= 20 (ascending k-colorability with backtracking), otherwise a
-    greedy clique size."""
+    greedy clique size, raised to 3 when the underlying graph is not
+    bipartite."""
     if g.n == 0:
         return 0
     if g.m == 0:
         return 1
+    k = _greedy_clique(g)
     if g.n <= 20:
-        k = _greedy_clique(g)
         while not _colorable(g, k):
             k += 1
         return k
-    return _greedy_clique(g)
+    if k < 3 and not _bipartite(g):
+        return 3
+    return k
+
+
+def _bipartite(g: SignedGraph) -> bool:
+    """BFS 2-coloring of the underlying graph, one component at a time."""
+    side = [-1] * g.n
+    for root in range(g.n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        queue = [root]
+        for u in queue:
+            for v, _ in g.adjacency[u]:
+                if side[v] < 0:
+                    side[v] = side[u] ^ 1
+                    queue.append(v)
+                elif side[v] == side[u]:
+                    return False
+    return True
 
 
 def _greedy_clique(g: SignedGraph) -> int:
@@ -322,15 +349,17 @@ def chromatic_number(
     exhausted = {}
     for k in range(start, cap + 1):
         targets = enumerate_targets(k)
-        # complete search, interleaving targets with growing node budgets so
-        # one hard-to-refute target cannot starve an easy satisfiable one
-        budget = 20_000
-        undecided = list(targets)
-        while undecided:
+        # one resumable search per target, run round-robin a turn at a
+        # time; the first satisfied target wins, and a search that runs
+        # out of literals refutes its target
+        running = [(target, _search_turns(g, target)) for target in targets]
+        while running:
             still = []
-            for target in undecided:
-                status, phi = _find_budgeted(g, target, budget)
-                if status == "sat":
+            for target, search in running:
+                phi = next(search)
+                if phi is None:
+                    still.append((target, search))
+                elif phi:
                     return ChromaticCertificate(
                         k=k,
                         target=target,
@@ -340,10 +369,7 @@ def chromatic_number(
                             "exhausted_orders": exhausted,
                         },
                     )
-                if status == "unknown":
-                    still.append(target)
-            undecided = still
-            budget *= 4
+            running = still
         exhausted[k] = len(targets)
     proved_lo = max(start, *(k + 1 for k in exhausted)) if exhausted else start
     raise BoundExceededError(lo=proved_lo, hi=None)

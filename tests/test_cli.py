@@ -1,4 +1,5 @@
 import json
+import random
 
 import jsonschema
 import pytest
@@ -103,6 +104,14 @@ class TestCommands:
     def test_chi_guard_exit(self, tmp_path, capsys):
         path = write_graph(tmp_path, "k8.sg", make("K_plus", 8))
         assert main(["chi", path]) == EXIT_GUARD
+
+    def test_chi_long_path_prints_2(self, tmp_path, capsys):
+        # 1500 vertices in one component: past Python's recursion limit
+        rng = random.Random(89)
+        path = write_graph(tmp_path, "path.sg", build(
+            1500, [(v, v + 1, rng.choice((1, -1))) for v in range(1499)]))
+        assert main(["chi", path]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "2"
 
     def test_chi_recursion_limit_is_guard_exit(self, tmp_path, capsys,
                                                monkeypatch):

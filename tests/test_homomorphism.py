@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from sgw.constructions import make
+from sgw.constructions import build_grid, grid_edges, make
 from sgw.core import build
 from sgw.errors import (
     BoundExceededError,
@@ -21,9 +21,15 @@ from sgw.homomorphism import (
     underlying_chromatic_lower_bound,
     validate,
 )
+from sgw.product import cartesian_product
 from sgw.switching import equivalent, switch
 
 from oracles import naive_chromatic_number, random_connected_signed_graph
+
+
+def disjoint_union(a, b):
+    return build(a.n + b.n, list(a.edges)
+                 + [(u + a.n, v + a.n, s) for u, v, s in b.edges])
 
 
 def brute_force_hom(g, h):
@@ -88,6 +94,30 @@ class TestFindHomomorphism:
         assert find_homomorphism(build(0, []), make("K_plus", 2)) is not None
         assert find_homomorphism(build(2, [(0, 1, 1)]), build(1, [])) is None
 
+    def test_disconnected_sources_agree_with_brute_force(self):
+        # the search runs one component after another inside one target's
+        # search; every other oracle test uses connected sources
+        # (n <= 5 keeps the exhaustive oracle to 6^5 maps per target)
+        rng = random.Random(73)
+        targets = [t for k in (1, 2, 3) for t in enumerate_targets(k)]
+        for _ in range(30):
+            a = random_connected_signed_graph(rng, 1, 3)
+            b = random_connected_signed_graph(rng, 1, 5 - a.n)
+            g = disjoint_union(a, b)
+            for h in targets:
+                found = find_homomorphism(g, h)
+                assert (found is None) == (brute_force_hom(g, h) is None)
+                if found is not None:
+                    assert validate(g, h, found)
+
+    def test_large_grid_does_not_recurse(self):
+        # 1600 vertices in one component: past Python's recursion limit
+        rng = random.Random(79)
+        g = build_grid(40, 40, [rng.choice((1, -1)) for _ in grid_edges(40, 40)])
+        target = make("SPal5_star")
+        phi = find_homomorphism(g, target)
+        assert phi is not None and validate(g, target, phi)
+
 
 class TestEnumerateTargets:
     def test_counts(self):
@@ -138,6 +168,24 @@ class TestChromaticNumber:
             cert = chromatic_number(g)
             assert cert.k == naive_chromatic_number(g)
 
+    def test_disconnected_sources_match_naive_oracle(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            a = random_connected_signed_graph(rng, 1, 4)
+            b = random_connected_signed_graph(rng, 1, 7 - a.n)
+            g = disjoint_union(a, b)
+            cert = chromatic_number(g)
+            assert cert.k == naive_chromatic_number(g)
+            assert validate(g, cert.target, cert.hom)
+
+    def test_long_path_does_not_recurse(self):
+        # 1500 vertices in one component: past Python's recursion limit
+        rng = random.Random(89)
+        g = build(1500, [(v, v + 1, rng.choice((1, -1))) for v in range(1499)])
+        cert = chromatic_number(g)
+        assert cert.k == 2
+        assert validate(g, cert.target, cert.hom)
+
     def test_certificate_evidence_covers_smaller_orders(self):
         cert = chromatic_number(make("UC", 4))
         base = cert.lower_bound_evidence["underlying_chromatic"]
@@ -160,6 +208,15 @@ class TestChromaticNumber:
         assert underlying_chromatic_lower_bound(make("K_plus", 5)) == 5
         assert underlying_chromatic_lower_bound(make("BC", 5)) == 3
         assert underlying_chromatic_lower_bound(build(3, [])) == 1
+
+    def test_underlying_lower_bound_sees_odd_cycles_past_20(self):
+        # n > 20: the greedy clique gives 2 on all three; only the ones
+        # with an odd cycle are lifted to 3
+        uc6_uc5, _ = cartesian_product(make("UC", 6), make("UC", 5))
+        assert uc6_uc5.n == 30
+        assert underlying_chromatic_lower_bound(uc6_uc5) == 3
+        assert underlying_chromatic_lower_bound(make("BC", 22)) == 2
+        assert underlying_chromatic_lower_bound(make("UC", 23)) == 3
 
 
 class TestSignedIsomorphic:
