@@ -163,3 +163,151 @@ def nearest_projection_coords(g: SignedGraph, edge_color):
             return None
         per_color.append(positions)
     return [tuple(c) for c in zip(*per_color)]
+
+
+def _components(n, pairs):
+    """Component id of every vertex of the graph ``(range(n), pairs)``."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    comp = [-1] * n
+    for root in range(n):
+        if comp[root] < 0:
+            comp[root] = root
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for v in nbrs[u]:
+                    if comp[v] < 0:
+                        comp[v] = root
+                        stack.append(v)
+    return comp
+
+
+def splits_as_product(n, pairs, in_a):
+    """Whether the edge 2-coloring ``in_a`` of ``(range(n), pairs)`` is the
+    factor coloring of a Cartesian product.
+
+    The candidate factors are the a- and b-colored layers through vertex
+    0.  A vertex's a-coordinate is where its b-layer meets the base
+    a-layer, and its b-coordinate where its a-layer meets the base
+    b-layer; the split passes only if these coordinates are a bijection
+    onto the two base layers' product that maps the product's edge set
+    exactly onto ``pairs``.
+    """
+    a_pairs = [e for e, a in zip(pairs, in_a) if a]
+    b_pairs = [e for e, a in zip(pairs, in_a) if not a]
+    # early exit: in a product of two layers with edges, every vertex
+    # has edges of both classes
+    for cls in (a_pairs, b_pairs):
+        if len({v for e in cls for v in e}) < n:
+            return False
+    comp_a, comp_b = _components(n, a_pairs), _components(n, b_pairs)
+    base_a = [v for v in range(n) if comp_a[v] == comp_a[0]]
+    base_b = [v for v in range(n) if comp_b[v] == comp_b[0]]
+    if len(base_a) * len(base_b) != n:
+        return False
+    coords = []
+    for v in range(n):
+        xa = [w for w in base_a if comp_b[w] == comp_b[v]]
+        xb = [w for w in base_b if comp_a[w] == comp_a[v]]
+        if len(xa) != 1 or len(xb) != 1:
+            return False
+        coords.append((xa[0], xb[0]))
+    vertex = {c: v for v, c in enumerate(coords)}
+    if len(vertex) != n:
+        return False
+    in_base_a, in_base_b = set(base_a), set(base_b)
+    product = set()
+    for x, y in a_pairs:
+        if x in in_base_a and y in in_base_a:
+            product |= {frozenset((vertex[x, b], vertex[y, b])) for b in base_b}
+    for x, y in b_pairs:
+        if x in in_base_b and y in in_base_b:
+            product |= {frozenset((vertex[a, x], vertex[a, y])) for a in base_a}
+    return product == {frozenset(e) for e in pairs}
+
+
+def brute_force_is_prime(g: SignedGraph) -> bool:
+    """Primality of the underlying graph: no split of its edges into two
+    non-empty classes is a product coloring.  Exhaustive, so m <= 12."""
+    pairs = g.underlying_edges()
+    m = len(pairs)
+    if m > 12:
+        raise ValueError("exhaustive primality check capped at 12 edges")
+    # the last edge always lies in the b class, so each split is met once
+    return not any(
+        splits_as_product(g.n, pairs, [mask >> i & 1 for i in range(m)])
+        for mask in range(1, 1 << (m - 1))
+    )
+
+
+def scan_search(g, order, allowed, full, root_domain):
+    """Reference for ``homomorphism._search``: the same search, choosing
+    each variable by rescanning all n positions.
+
+    Backtracking with forward checking over literal bitmask domains.
+
+    Variables are chosen dynamically, smallest domain first (the root is
+    forced first); forward checking prunes every unassigned neighbor on
+    each assignment, so domains always reflect all assigned neighbors.
+    The search is iterative: ``stack`` holds one [variable, untried
+    literals, undo list of the literal being tried] frame per assigned
+    variable plus the one being tried.  A generator: it yields None after
+    every turn of g.n + 1 nodes and returns the {vertex: literal} map, or
+    None.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    nbrs = [[(pos[w], s) for w, s in g.adjacency[v] if w in pos] for v in order]
+    domains = [full] * n
+    domains[0] = root_domain
+    lits = [-1] * n
+    width = full.bit_length()
+    turn = g.n + 1
+    stack = [[0, root_domain, ()]]
+    left = turn - 1  # the root node
+    while stack:
+        frame = stack[-1]
+        i, rest, undo = frame
+        lits[i] = -1
+        for j, old in undo:
+            domains[j] = old
+        if not rest:
+            stack.pop()
+            continue
+        low = rest & -rest
+        lit = low.bit_length() - 1
+        undo = []
+        frame[1] = rest ^ low
+        frame[2] = undo
+        for j, s in nbrs[i]:
+            if lits[j] >= 0:
+                continue
+            old = domains[j]
+            new = old & allowed[s][lit]
+            if new != old:
+                undo.append((j, old))
+                domains[j] = new
+                if not new:
+                    break
+        else:  # no domain wiped out
+            lits[i] = lit
+            if len(stack) == n:
+                return {order[i]: lits[i] for i in range(n)}
+            left -= 1
+            if not left:
+                yield None
+                left = turn
+            # smallest domain among the unassigned variables
+            best, best_size = -1, width + 1
+            for j in range(n):
+                if lits[j] < 0:
+                    size = domains[j].bit_count()
+                    if size < best_size:
+                        best, best_size = j, size
+                        if size <= 1:
+                            break
+            stack.append([best, domains[best], ()])
+    return None

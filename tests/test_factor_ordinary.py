@@ -10,9 +10,11 @@ from sgw.factor_ordinary import DisjointSet, factorize, is_prime_ordinary
 from sgw.product import product_many
 
 from oracles import (
+    brute_force_is_prime,
     nearest_layer_positions,
     nearest_projection_coords,
     random_connected_signed_graph,
+    random_signature,
     reconstruct_product,
 )
 
@@ -32,6 +34,24 @@ def toggle_edge(rng: random.Random, g: SignedGraph) -> SignedGraph:
     u, v = sorted(rng.sample(range(g.n), 2))
     pairs = {(a, b) for a, b, _ in g.edges} ^ {(u, v)}
     return SignedGraph(g.n, [(a, b, 1) for a, b in sorted(pairs)])
+
+
+def signed_prism(g: SignedGraph) -> SignedGraph:
+    """Two copies of g joined by the rungs (v, 0)(v, 1), vertex (v, i) being
+    2v + i; a negative edge of g crosses between the copies.  Its
+    underlying graph is g's times K2 when g is balanced, and a twisted
+    product, such as the Mobius ladder, when it is not."""
+    edges = [(2 * v, 2 * v + 1, 1) for v in range(g.n)]
+    for u, v, s in g.edges:
+        edges += [(2 * u + i, 2 * v + (i if s > 0 else 1 - i), 1) for i in (0, 1)]
+    return SignedGraph(2 * g.n, [(min(a, b), max(a, b), s) for a, b, s in edges])
+
+
+def relabel(rng: random.Random, g: SignedGraph) -> SignedGraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return SignedGraph(g.n, [(min(perm[u], perm[v]), max(perm[u], perm[v]), s)
+                             for u, v, s in g.edges])
 
 
 def coordinatize_with(g: SignedGraph, classes):
@@ -176,3 +196,50 @@ class TestCoordinates:
             coordinatize_with(g, [[(0, 1)],
                                   [(0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]])
         assert (hint.value.a, hint.value.b) == (0, 1)
+
+
+class TestPrimalityOracle:
+    def test_oracle_on_known_graphs(self):
+        for g in (make("BC", 3), make("BC", 5), make("K_plus", 4),
+                  build(2, [(0, 1, 1)])):
+            assert brute_force_is_prime(g)
+        for parts in ([make("K_plus", 2)] * 2, [make("BC", 3), make("K_plus", 2)],
+                      [make("K_plus", 2)] * 3):
+            assert not brute_force_is_prime(product_many(parts)[0])
+
+    def test_is_prime_matches_exhaustive_split_check(self, monkeypatch):
+        # the oracle tries every split of the edges into two classes, so
+        # a merge fallback that stopped at a coarser product would show
+        merges = []
+        coordinatize = factor_ordinary._coordinatize
+
+        def counting(g, eid, ds):
+            try:
+                return coordinatize(g, eid, ds)
+            except factor_ordinary._MergeHint:
+                merges.append(g)
+                raise
+
+        monkeypatch.setattr(factor_ordinary, "_coordinatize", counting)
+        rng = random.Random(37)
+        graphs = [random_connected_signed_graph(rng, 2, 8) for _ in range(100)]
+        # twisted prisms (the Mobius ladder among them): the square rules'
+        # coloring is not a product coloring, so factorize merges colors
+        graphs += [relabel(rng, signed_prism(random_connected_signed_graph(rng, 2, 4)))
+                   for _ in range(60)]
+        graphs += [relabel(rng, signed_prism(build(4, random_signature(
+            rng, [(0, 1), (1, 2), (2, 3), (0, 3)])))) for _ in range(40)]
+        for parts in ([make("BC", 3), make("K_plus", 2)],
+                      [make("BC", 4), make("K_plus", 2)],
+                      [make("K_plus", 2)] * 3):
+            g, _ = product_many(parts)
+            graphs.append(g)
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    pairs = {(a, b) for a, b, _ in g.edges} ^ {(u, v)}
+                    graphs.append(SignedGraph(g.n, [(a, b, 1) for a, b in sorted(pairs)]))
+        graphs = [g for g in graphs if 0 < g.m <= 12 and is_connected(g)]
+        for g in graphs:
+            assert is_prime_ordinary(g) == brute_force_is_prime(g)
+        assert sum(not brute_force_is_prime(g) for g in graphs) > 3
+        assert len(merges) >= 10

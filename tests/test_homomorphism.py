@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from sgw.constructions import build_grid, grid_edges, make
-from sgw.core import build
+from sgw.core import bfs_order, build, connected_components
 from sgw.errors import (
     BoundExceededError,
     OrderTooLargeError,
@@ -13,6 +13,8 @@ from sgw.errors import (
 )
 from sgw.homomorphism import (
     SignedHomomorphism,
+    _search,
+    _target_search_data,
     chromatic_number,
     enumerate_targets,
     find_homomorphism,
@@ -24,7 +26,11 @@ from sgw.homomorphism import (
 from sgw.product import cartesian_product
 from sgw.switching import equivalent, switch
 
-from oracles import naive_chromatic_number, random_connected_signed_graph
+from oracles import (
+    naive_chromatic_number,
+    random_connected_signed_graph,
+    scan_search,
+)
 
 
 def disjoint_union(a, b):
@@ -48,6 +54,32 @@ def brute_force_hom(g, h):
         if validate(g, h, phi):
             return phi
     return None
+
+
+def search_calls(g, h):
+    """The arguments ``_search_turns`` passes to ``_search``, one tuple per
+    component of g (the balance shortcut aside)."""
+    allowed, orbit_reps, _ = _target_search_data(h)
+    full = (1 << (2 * h.n)) - 1
+    root_domain = sum(1 << (2 * t) for t in orbit_reps)
+    for comp in connected_components(g):
+        root = max(comp, key=lambda v: (g.degree(v), -v))
+        yield g, bfs_order(g, root)[0], allowed, full, root_domain
+
+
+def drain(search):
+    """Every value a search generator yields, and the value it returns."""
+    yielded = []
+    while True:
+        try:
+            yielded.append(next(search))
+        except StopIteration as stop:
+            return yielded, stop.value
+
+
+def random_grid(rng, side):
+    return build_grid(side, side,
+                      [rng.choice((1, -1)) for _ in grid_edges(side, side)])
 
 
 class TestValidate:
@@ -110,13 +142,50 @@ class TestFindHomomorphism:
                 if found is not None:
                     assert validate(g, h, found)
 
-    def test_large_grid_does_not_recurse(self):
-        # 1600 vertices in one component: past Python's recursion limit
-        rng = random.Random(79)
-        g = build_grid(40, 40, [rng.choice((1, -1)) for _ in grid_edges(40, 40)])
+    @pytest.mark.parametrize("side,seed", [(40, 79), (100, 101)],
+                             ids=["40x40", "100x100"])
+    def test_large_grid_does_not_recurse(self, side, seed):
+        # side**2 vertices in one component: past Python's recursion limit
+        g = random_grid(random.Random(seed), side)
         target = make("SPal5_star")
         phi = find_homomorphism(g, target)
         assert phi is not None and validate(g, target, phi)
+
+    def test_unbalanced_source_into_balanced_target(self):
+        # refuted by balance alone; an exhaustive search ran over a minute
+        rng = random.Random(97)
+        signs = [rng.choice((1, -1)) for _ in range(201)]
+        if signs.count(-1) % 2 == 0:
+            signs[-1] = -signs[-1]
+        g = build(201, [(v, (v + 1) % 201, signs[v]) for v in range(201)])
+        assert find_homomorphism(g, make("K_plus", 3)) is None
+        assert find_homomorphism(switch(g, range(0, 201, 2)),
+                                 make("K_plus", 3)) is None
+
+    def test_bucketed_selection_matches_scan_selection(self):
+        # same arguments, same yields (turns) and the same literal map as
+        # the reference search that rescans every position per node
+        rng = random.Random(103)
+        sources = [random_connected_signed_graph(rng, 1, 9) for _ in range(300)]
+        sources += [
+            disjoint_union(random_connected_signed_graph(rng, 1, 4),
+                           random_connected_signed_graph(rng, 1, 5))
+            for _ in range(40)
+        ]
+        sources += [
+            cartesian_product(make(a, p), make(b, q))[0]
+            for a in ("BC", "UC") for p in (3, 4)
+            for b in ("BC", "UC") for q in (3, 4, 5)
+        ]
+        targets = [t for k in (1, 2, 3, 4) for t in enumerate_targets(k)]
+        for g in sources:
+            for h in targets:
+                for args in search_calls(g, h):
+                    assert drain(_search(*args)) == drain(scan_search(*args))
+        for side in (5, 8, 13, 17, 20):
+            g = random_grid(rng, side)
+            for args in search_calls(g, make("SPal5_star")):
+                assert drain(_search(*args)) == drain(scan_search(*args))
 
 
 class TestEnumerateTargets:
