@@ -19,17 +19,27 @@ different labels, and every vertex reached through it is tied too.  Any
 tie rejects the coloring.  With k <= log2(n) colors this costs
 O(k * (n + m)).
 
-Any verification failure merges the offending colors and retries, so the
-result is always a genuine product decomposition; termination is immediate
-since the color count strictly drops.
+The seed coloring is usually the prime one, but the square rules see
+only squares: in M x K2, M a Mobius ladder, they keep M's rungs apart from
+its rim, and the coloring is no product coloring.  Then the
+Djokovic-Winkler relation theta is joined in and the coloring is
+coordinatized once more.  By Feder ("Product graph representations",
+J. Graph Theory 16, 1992) the product relation sigma is the closure of
+theta and tau, where tau joins adjacent edges on no common chordless
+square, and theta need only relate each edge to the edges of one spanning
+tree.  The seeds contain tau and lie inside sigma, so the second coloring
+is sigma and must coordinatize.  A graph of prime order is prime, as
+factor orders multiply to n, so it gets a single color without seeding.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from math import isqrt
+from typing import Optional
 
-from .core import SignedGraph, is_connected
+from .core import SignedGraph, bfs_order, is_connected
 from .errors import DisconnectedError, InternalInvariantViolation, NoEdgesError
 from .product import CoordinateSystem
 
@@ -65,12 +75,6 @@ class OrdinaryDecomposition:
     edge_color: dict  # (u, v) with u < v -> factor index
 
 
-class _MergeHint(Exception):
-    def __init__(self, a: int, b: int):
-        self.a = a
-        self.b = b
-
-
 def factorize(g: SignedGraph) -> OrdinaryDecomposition:
     """Unique prime decomposition of the underlying graph of ``g``."""
     if g.m == 0:
@@ -82,17 +86,20 @@ def factorize(g: SignedGraph) -> OrdinaryDecomposition:
     for idx, (u, v, _) in enumerate(g.edges):
         eid[(u, v)] = idx
         eid[(v, u)] = idx
-    adj = [set(g.neighbors(u)) for u in range(g.n)]
 
     ds = DisjointSet(g.m)
-    _seed_square_rules(g, adj, eid, ds)
-
-    while True:
-        try:
-            return _coordinatize(g, eid, ds)
-        except _MergeHint as hint:
-            if not ds.union(hint.a, hint.b):
-                raise InternalInvariantViolation("merge made no progress")
+    if _is_prime(g.n):  # factor orders multiply to n: one color
+        for idx in range(1, g.m):
+            ds.union(0, idx)
+    else:
+        _seed_square_rules(g, [set(g.neighbors(u)) for u in range(g.n)], eid, ds)
+    dec = _coordinatize(g, eid, ds)
+    if dec is None:
+        _theta_unions(g, eid, ds)
+        dec = _coordinatize(g, eid, ds)
+        if dec is None:
+            raise InternalInvariantViolation("the product relation did not coordinatize")
+    return dec
 
 
 def is_prime_ordinary(g: SignedGraph) -> bool:
@@ -133,16 +140,13 @@ def _seed_square_rules(g, adj, eid, ds):
                     ds.union(exy, exz)
 
 
-def _coordinatize(g, eid, ds) -> OrdinaryDecomposition:
+def _coordinatize(g, eid, ds) -> Optional[OrdinaryDecomposition]:
+    """The decomposition colored by ``ds``, or None if it is no product."""
     # color classes in order of first edge appearance
-    roots = []
     root_pos = {}
     for idx in range(g.m):
-        r = ds.find(idx)
-        if r not in root_pos:
-            root_pos[r] = len(roots)
-            roots.append(r)
-    k = len(roots)
+        root_pos.setdefault(ds.find(idx), len(root_pos))
+    k = len(root_pos)
     color = {}
     for (u, v, _s) in g.edges:
         c = root_pos[ds.find(eid[(u, v)])]
@@ -169,18 +173,18 @@ def _coordinatize(g, eid, ds) -> OrdinaryDecomposition:
     for s in sizes:
         total *= s
     if total != g.n:
-        raise _MergeHint(ds.find(0), ds.find(_largest_other(ds, g.m)))
+        return None
 
     # coordinates via nearest-vertex projections onto the base layers
     per_color = []
     for lv in layer_verts:
         labels = _nearest_labels(g, lv)
         if labels is None:
-            raise _MergeHint(roots[0], roots[1 % k] if k > 1 else roots[0])
+            return None
         per_color.append(labels)
     coords = list(zip(*per_color))
     if len(set(coords)) != g.n:
-        raise _MergeHint(roots[0], roots[min(1, k - 1)])
+        return None
 
     # factor graphs from the base layers
     pos_in_layer = [
@@ -200,15 +204,10 @@ def _coordinatize(g, eid, ds) -> OrdinaryDecomposition:
 
     # every edge must move exactly one coordinate, along its own color
     for u, v, _s in g.edges:
-        diffs = [c for c in range(k) if coords[u][c] != coords[v][c]]
-        if len(diffs) != 1:
-            a, b = (diffs + [color[(u, v)], color[(u, v)]])[:2]
-            raise _MergeHint(roots[a], roots[b])
-        c = diffs[0]
-        if c != color[(u, v)]:
-            raise _MergeHint(roots[c], roots[color[(u, v)]])
-        if not factors[c].has_edge(coords[u][c], coords[v][c]):
-            raise _MergeHint(roots[c], roots[(c + 1) % k] if k > 1 else roots[c])
+        c = color[(u, v)]
+        diffs = [j for j in range(k) if coords[u][j] != coords[v][j]]
+        if diffs != [c] or not factors[c].has_edge(coords[u][c], coords[v][c]):
+            return None
 
     # exact reconstruction: edge count of the product must match
     expected = 0
@@ -216,7 +215,7 @@ def _coordinatize(g, eid, ds) -> OrdinaryDecomposition:
         copies = g.n // sizes[c]
         expected += factors[c].m * copies
     if expected != g.m:
-        raise _MergeHint(roots[0], roots[min(1, k - 1)])
+        return None
 
     if k == 1 and factors[0].n != g.n:
         raise InternalInvariantViolation("single-color layer misses vertices")
@@ -255,8 +254,33 @@ def _nearest_labels(g, layer):
     return label
 
 
-def _largest_other(ds, m):
-    for idx in range(m):
-        if ds.find(idx) != ds.find(0):
-            return idx
-    return 0
+def _theta_unions(g, eid, ds):
+    """Join each edge of a BFS tree with every edge theta-related to it.
+
+    Edges xy and uv are theta-related iff d(x, u) + d(y, v) differs from
+    d(x, v) + d(y, u), that is, iff d(., u) - d(., v) differs at x and y.
+    One BFS per vertex, taken in BFS order; a vertex's distances are kept
+    only until its last tree child has used them.  O(n * m) in all.
+    """
+    order, root = bfs_order(g, 0)
+    parent = {c: next(w for w, _ in g.adjacency[c] if root[w] == root[c] - 1)
+              for c in order[1:]}
+    children = Counter(parent.values())
+    dist = {0: root}
+    for c in order[1:]:
+        p = parent[c]
+        dc, dp = bfs_order(g, c)[1], dist[p]
+        diff = [a - b for a, b in zip(dc, dp)]
+        tree_edge = eid[(p, c)]
+        for idx, (x, y, _s) in enumerate(g.edges):
+            if diff[x] != diff[y]:
+                ds.union(tree_edge, idx)
+        children[p] -= 1
+        if not children[p]:
+            del dist[p]
+        if children[c]:
+            dist[c] = dc
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))

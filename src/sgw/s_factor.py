@@ -77,7 +77,6 @@ def s_decompose(g: SignedGraph, debug_trace: Optional[list] = None) -> SDecompos
     in_s = [False] * g.n
     switched = [False] * g.n
     treated = set()
-    done = [False] * g.n
 
     for x in order:
         in_s[x] = True
@@ -106,7 +105,6 @@ def s_decompose(g: SignedGraph, debug_trace: Optional[list] = None) -> SDecompos
                 if debug_trace is not None:
                     debug_trace.append(("merge", y, tuple(sorted(set(merged)))))
             treated.add(key)
-        done[x] = True
         if debug_trace is not None:
             debug_trace.append(("done", x))
 

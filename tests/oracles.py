@@ -165,6 +165,33 @@ def nearest_projection_coords(g: SignedGraph, edge_color):
     return [tuple(c) for c in zip(*per_color)]
 
 
+def product_relation_classes(g: SignedGraph):
+    """Edge classes of the product relation of a connected graph, as the
+    closure of theta and tau over all pairs of edges (Feder 1992).
+
+    Edges xy and uv are theta-related when d(x, u) + d(y, v) differs from
+    d(x, v) + d(y, u); edges ab and ac are tau-related when no chordless
+    square a b w c contains them."""
+    nbrs = {u: sorted(v for v, _ in g.adjacency[u]) for u in range(g.n)}
+    dist = [_bfs_distances(nbrs, u) for u in range(g.n)]
+    edges = g.underlying_edges()
+    related = []
+    for i, (x, y) in enumerate(edges):
+        for j, (u, v) in enumerate(edges[:i]):
+            if dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]:
+                related.append((i, j))
+            elif len({x, y} ^ {u, v}) == 2:
+                (a,) = {x, y} & {u, v}
+                b, c = {x, y} ^ {u, v}
+                if c in nbrs[b] or not any(
+                        w != a and w not in nbrs[a] and c in nbrs[w] for w in nbrs[b]):
+                    related.append((i, j))
+    classes = {}
+    for e, comp in zip(edges, _components(len(edges), related)):
+        classes.setdefault(comp, set()).add(e)
+    return {frozenset(cls) for cls in classes.values()}
+
+
 def _components(n, pairs):
     """Component id of every vertex of the graph ``(range(n), pairs)``."""
     nbrs = [[] for _ in range(n)]

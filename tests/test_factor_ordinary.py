@@ -8,11 +8,13 @@ from sgw.core import SignedGraph, build, is_connected
 from sgw.errors import DisconnectedError, NoEdgesError
 from sgw.factor_ordinary import DisjointSet, factorize, is_prime_ordinary
 from sgw.product import product_many
+from sgw.s_factor import s_decompose
 
 from oracles import (
     brute_force_is_prime,
     nearest_layer_positions,
     nearest_projection_coords,
+    product_relation_classes,
     random_connected_signed_graph,
     random_signature,
     reconstruct_product,
@@ -173,15 +175,13 @@ class TestCoordinates:
             assert factor_ordinary._nearest_labels(g, layer) == expected
         assert 0 < ties < 300
 
-    def test_tie_raises_merge_hint(self):
+    def test_tie_rejects_coloring(self):
         # C6 with {01, 34} colored apart from the rest: the layers through 0
         # are [0, 1] and [0, 5, 4], so 2 x 3 = 6 vertices, but vertex 2 is
         # at distance 2 from both 0 and 4
         g = make("BC", 6)
-        with pytest.raises(factor_ordinary._MergeHint) as hint:
-            coordinatize_with(g, [[(0, 1), (3, 4)],
-                                  [(1, 2), (2, 3), (4, 5), (0, 5)]])
-        assert (hint.value.a, hint.value.b) == (0, 1)
+        assert coordinatize_with(g, [[(0, 1), (3, 4)],
+                                     [(1, 2), (2, 3), (4, 5), (0, 5)]]) is None
         assert nearest_layer_positions(g, [0, 5, 4]) is None
         assert factor_ordinary._nearest_labels(g, [0, 5, 4]) is None
 
@@ -192,10 +192,89 @@ class TestCoordinates:
         monkeypatch.setattr(factor_ordinary, "_nearest_labels", unreachable)
         # {01} alone: layers of 2 and 6 vertices, 12 != 6
         g = make("BC", 6)
-        with pytest.raises(factor_ordinary._MergeHint) as hint:
-            coordinatize_with(g, [[(0, 1)],
-                                  [(0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]])
-        assert (hint.value.a, hint.value.b) == (0, 1)
+        assert coordinatize_with(g, [[(0, 1)],
+                                     [(0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]]) is None
+
+
+class TestProductRelation:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("other", ["K2", "P3", "C5", "M3"])
+    def test_mobius_ladder_products_factor(self, n, other):
+        # the square rules leave the Mobius ladder's rungs apart from its
+        # rim, so the seed coloring of M x H is no product coloring
+        mobius = signed_prism(make("UC", n))
+        h = {"K2": make("K_plus", 2), "P3": build(3, [(0, 1, 1), (1, 2, 1)]),
+             "C5": make("BC", 5), "M3": signed_prism(make("UC", 3))}[other]
+        g, _ = product_many([mobius, h])
+        dec = factorize(g)
+        assert sorted(f.n for f in dec.factors) == sorted([mobius.n, h.n])
+        assert not is_prime_ordinary(g)
+        assert len(s_decompose(g).factors) >= 2
+
+    def test_prime_order_is_one_color_without_seeding(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a graph of prime order was colored")
+
+        monkeypatch.setattr(factor_ordinary, "_seed_square_rules", unreachable)
+        monkeypatch.setattr(factor_ordinary, "_theta_unions", unreachable)
+        for g in (circulant(31, 7), circulant(101, 5), make("K_plus", 5)):
+            dec = factorize(g)
+            assert [f.n for f in dec.factors] == [g.n]
+            assert set(dec.edge_color.values()) == {0}
+
+    def test_coloring_is_feder_product_relation(self):
+        rng = random.Random(43)
+        graphs = [random_connected_signed_graph(rng, 2, 10) for _ in range(80)]
+        graphs += [relabel(rng, signed_prism(random_connected_signed_graph(rng, 2, 6)))
+                   for _ in range(40)]
+        for _ in range(40):
+            g = relabel(rng, product_many([random_connected_signed_graph(rng, 2, 4)
+                                           for _ in range(rng.randint(2, 3))])[0])
+            flipped = toggle_edge(rng, g)
+            graphs += [g] + [flipped] * is_connected(flipped)
+        # twisted prisms times a factor, where the seeds are sometimes no
+        # product coloring
+        graphs += [relabel(rng, product_many([
+            signed_prism(random_connected_signed_graph(rng, 3, 6)),
+            random_connected_signed_graph(rng, 2, 3)])[0]) for _ in range(60)]
+        for g in graphs:
+            classes = {}
+            for e, c in factorize(g).edge_color.items():
+                classes.setdefault(c, set()).add(e)
+            assert {frozenset(cls) for cls in classes.values()} == product_relation_classes(g)
+
+    def test_theta_recovers_square_rule_coloring(self, monkeypatch):
+        # seeds cut down to tau (adjacent edges on no common chordless
+        # square are joined) leave it to the theta pass to reach sigma
+        rng = random.Random(41)
+        graphs = []
+        for _ in range(120):
+            factors = [random_connected_signed_graph(rng, 2, 4)
+                       for _ in range(rng.randint(1, 3))]
+            graphs.append(relabel(rng, product_many(factors)[0]))
+        expected = [factorize(g).edge_color for g in graphs]
+
+        def tau_only(g, adj, eid, ds):
+            for x in range(g.n):
+                nbrs = g.neighbors(x)
+                for a, y in enumerate(nbrs):
+                    for z in nbrs[a + 1:]:
+                        if z in adj[y] or all(w == x or w in adj[x]
+                                              for w in adj[y] & adj[z]):
+                            ds.union(eid[(x, y)], eid[(x, z)])
+
+        theta_runs = []
+        theta_unions = factor_ordinary._theta_unions
+
+        def counting(g, eid, ds):
+            theta_runs.append(g)
+            theta_unions(g, eid, ds)
+
+        monkeypatch.setattr(factor_ordinary, "_seed_square_rules", tau_only)
+        monkeypatch.setattr(factor_ordinary, "_theta_unions", counting)
+        for g, edge_color in zip(graphs, expected):
+            assert factorize(g).edge_color == edge_color
+        assert len(theta_runs) > len(graphs) // 2
 
 
 class TestPrimalityOracle:
@@ -209,22 +288,19 @@ class TestPrimalityOracle:
 
     def test_is_prime_matches_exhaustive_split_check(self, monkeypatch):
         # the oracle tries every split of the edges into two classes, so
-        # a merge fallback that stopped at a coarser product would show
+        # a fallback that stopped at a coarser product would show
         merges = []
-        coordinatize = factor_ordinary._coordinatize
+        theta_unions = factor_ordinary._theta_unions
 
         def counting(g, eid, ds):
-            try:
-                return coordinatize(g, eid, ds)
-            except factor_ordinary._MergeHint:
-                merges.append(g)
-                raise
+            merges.append(g)
+            theta_unions(g, eid, ds)
 
-        monkeypatch.setattr(factor_ordinary, "_coordinatize", counting)
+        monkeypatch.setattr(factor_ordinary, "_theta_unions", counting)
         rng = random.Random(37)
         graphs = [random_connected_signed_graph(rng, 2, 8) for _ in range(100)]
         # twisted prisms (the Mobius ladder among them): the square rules'
-        # coloring is not a product coloring, so factorize merges colors
+        # coloring is not a product coloring, so factorize joins in theta
         graphs += [relabel(rng, signed_prism(random_connected_signed_graph(rng, 2, 4)))
                    for _ in range(60)]
         graphs += [relabel(rng, signed_prism(build(4, random_signature(
