@@ -45,7 +45,8 @@ from .product import CoordinateSystem
 
 
 class DisjointSet:
-    """Union-find with path compression (used for edge-color merging)."""
+    """Union-find with path compression; each class is rooted at its least
+    member (used for edge-color merging and for vertex orbits)."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))

@@ -40,9 +40,10 @@ from .errors import (
     TooLargeError,
     VertexOutOfRangeError,
 )
-from .switching import canonical_form, equivalent, is_balanced
+from .factor_ordinary import DisjointSet
+from .switching import equivalent, is_balanced
 
-TARGET_ORDER_CAP = 6
+TARGET_ORDER_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -98,22 +99,68 @@ def _edge_masks(h: SignedGraph) -> dict[int, list[int]]:
     return allowed
 
 
+def _switching_key(neg, perm, edges, tree) -> int:
+    """Switching-class key of the signing (a, b) -> neg[perm[a]][perm[b]].
+
+    ``neg`` is a 0/1 matrix (1 for a negative edge) and ``tree`` lists the
+    (vertex, parent) pairs of a spanning forest, parents first.  The
+    signing is switched so that every forest edge is positive, and bit i
+    of the key is set when ``edges[i]`` is then negative.  Two signings of
+    one graph are switching equivalent exactly when their keys over the
+    same forest agree.  On a complete graph with the star at 0 as the
+    tree, bit (u, v) is s(u, v) s(0, u) s(0, v) read as a sign.
+    """
+    flip = [0] * len(perm)
+    for v, p in tree:
+        flip[v] = flip[p] ^ neg[perm[p]][perm[v]]
+    key = 0
+    for i, (u, v) in enumerate(edges):
+        if neg[perm[u]][perm[v]] ^ flip[u] ^ flip[v]:
+            key |= 1 << i
+    return key
+
+
+def _spanning_forest(h: SignedGraph) -> list[tuple[int, int]]:
+    """(vertex, parent) pairs of a BFS spanning forest, parents first; for
+    a complete graph this is the star at 0."""
+    seen = [False] * h.n
+    tree = []
+    for root in range(h.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for u in queue:
+            for v, _ in h.adjacency[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    tree.append((v, u))
+                    queue.append(v)
+    return tree
+
+
 def _switching_automorphism_orbits(h: SignedGraph) -> list[int]:
-    """One target vertex per orbit of the switching-automorphism group."""
-    orbit = list(range(h.n))
+    """One target vertex per orbit of the switching-automorphism group,
+    the least of each orbit.
+
+    A vertex permutation that maps edges to edges is a switching
+    automorphism exactly when the permuted signing has h's key over one
+    spanning forest of h, so no graph is built per permutation.
+    """
+    neg = [[0] * h.n for _ in range(h.n)]
+    for u, v, s in h.edges:
+        neg[u][v] = neg[v][u] = int(s < 0)
+    edges = h.underlying_edges()
+    tree = _spanning_forest(h)
+    key = _switching_key(neg, range(h.n), edges, tree)
+    orbits = DisjointSet(h.n)
     for perm in itertools.permutations(range(h.n)):
-        # a bijection sending every edge to an edge is an automorphism
-        if any(not h.has_edge(perm[u], perm[v]) for u, v, _ in h.edges):
+        if any(not h.has_edge(perm[u], perm[v]) for u, v in edges):
             continue
-        permuted = SignedGraph(h.n, [(perm[u], perm[v], s) for u, v, s in h.edges])
-        if equivalent(permuted, h) is None:
-            continue
-        for u in range(h.n):
-            ru, rp = orbit[u], orbit[perm[u]]
-            if ru != rp:
-                lo, hi = min(ru, rp), max(ru, rp)
-                orbit = [lo if o == hi else o for o in orbit]
-    return sorted({orbit[u] for u in range(h.n)})
+        if _switching_key(neg, perm, edges, tree) == key:
+            for u in range(h.n):
+                orbits.union(u, perm[u])
+    return sorted({orbits.find(u) for u in range(h.n)})
 
 
 @lru_cache(maxsize=256)
@@ -267,30 +314,43 @@ def _search(g, order, allowed, full, root_domain):
 def enumerate_targets(k: int) -> tuple[SignedGraph, ...]:
     """All signed K_k up to switching isomorphism, one canonical member each.
 
-    Every switching class of a signed complete graph has a unique
-    representative with all vertex-0 edges positive (switch exactly the
-    other endpoints of the negative ones), so the classes are enumerated
-    by signing the edges inside 1..k-1 and deduplicated under vertex
-    permutations followed by re-canonicalization.
+    Every switching class of a signed complete graph has a unique member
+    with all vertex-0 edges positive (switch exactly the other endpoints
+    of the negative ones), so a class is a signing of the inner edges
+    inside 1..k-1, read as a bitmask.  A vertex permutation sends it to
+    the class with key s'(u, v) = s(u, v) s(0, u) s(0, v) on the inner
+    edges, integer arithmetic that builds no graph.  The walk takes the
+    lowest signing not yet seen, maps it under all k! permutations, marks
+    the whole orbit seen and keeps the orbit member with the least edge
+    tuple; the representatives come out sorted by edge tuple.  The class
+    counts 1, 1, 2, 3, 7, 16, 54 are the numbers of two-graphs.
     """
     if not 1 <= k <= TARGET_ORDER_CAP:
         raise OrderTooLargeError(f"target order {k} outside 1..{TARGET_ORDER_CAP}")
-    star = [(0, v, 1) for v in range(1, k)]
+    star = [(v, 0) for v in range(1, k)]
     inner = [(u, v) for u in range(1, k) for v in range(u + 1, k)]
-    reps = {}
-    for bits in range(1 << len(inner)):
-        edges = star + [
+
+    def edges_of(bits):
+        return tuple((0, v, 1) for v in range(1, k)) + tuple(
             (u, v, -1 if bits >> i & 1 else 1) for i, (u, v) in enumerate(inner)
-        ]
-        g = SignedGraph(k, edges)
-        key = min(
-            canonical_form(
-                SignedGraph(k, [(perm[u], perm[v], s) for u, v, s in g.edges])
-            )[0].edges
-            for perm in itertools.permutations(range(k))
         )
-        reps.setdefault(key, SignedGraph(k, key))
-    return tuple(reps[key] for key in sorted(reps))
+
+    seen = bytearray(1 << len(inner))
+    reps = []
+    for bits in range(1 << len(inner)):
+        if seen[bits]:
+            continue
+        neg = [[0] * k for _ in range(k)]
+        for i, (u, v) in enumerate(inner):
+            neg[u][v] = neg[v][u] = bits >> i & 1
+        orbit = {
+            _switching_key(neg, perm, inner, star)
+            for perm in itertools.permutations(range(k))
+        }
+        for image in orbit:
+            seen[image] = 1
+        reps.append(min(map(edges_of, orbit)))
+    return tuple(SignedGraph(k, edges) for edges in sorted(reps))
 
 
 def underlying_chromatic_lower_bound(g: SignedGraph) -> int:

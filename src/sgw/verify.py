@@ -24,6 +24,7 @@ from .constructions import (
 from .core import SignedGraph
 from .errors import BoundExceededError, GuardExceededError
 from .homomorphism import (
+    TARGET_ORDER_CAP,
     chromatic_number,
     enumerate_targets,
     find_homomorphism,
@@ -185,9 +186,12 @@ def verify_cycle_table(max_len: int = 6) -> Report:
 
 def verify_kpq(max_p: int, max_q: int) -> Report:
     """chi_s(K_p+ box K_q-) = ceil(pq/2): constructive upper bound plus
-    exhaustive lower bound."""
-    if max_p * max_q > 12:
-        raise GuardExceededError("exact lower bounds guarded at pq <= 12")
+    exhaustive lower bound, for every entry whose value is at most the
+    largest target order, pq <= 2 * TARGET_ORDER_CAP."""
+    if max_p * max_q > 2 * TARGET_ORDER_CAP:
+        raise GuardExceededError(
+            f"exact lower bounds guarded at pq <= {2 * TARGET_ORDER_CAP}"
+        )
     report = Report("kpq")
 
     def entry(p, q) -> ReportEntry:
@@ -215,7 +219,7 @@ def verify_kpq(max_p: int, max_q: int) -> Report:
         entry(p, q)
         for p in range(2, max_p + 1)
         for q in range(2, max_q + 1)
-        if p * q <= 12
+        if p * q <= 2 * TARGET_ORDER_CAP
     ]
     return report
 

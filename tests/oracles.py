@@ -6,10 +6,14 @@ algorithms so that agreement is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+import itertools
 import random
 from itertools import combinations
 
 from sgw.core import SignedGraph
+from sgw.errors import OrderTooLargeError
+from sgw.homomorphism import TARGET_ORDER_CAP
+from sgw.switching import canonical_form, equivalent
 
 
 def random_signature(rng: random.Random, edges):
@@ -338,3 +342,58 @@ def scan_search(g, order, allowed, full, root_domain):
                             break
             stack.append([best, domains[best], ()])
     return None
+
+
+def permutation_targets(k: int) -> tuple[SignedGraph, ...]:
+    """Reference for ``homomorphism.enumerate_targets``: canonicalize a
+    new graph for every permutation of every star-normalized signing.
+
+    All signed K_k up to switching isomorphism, one canonical member each.
+
+    Every switching class of a signed complete graph has a unique
+    representative with all vertex-0 edges positive (switch exactly the
+    other endpoints of the negative ones), so the classes are enumerated
+    by signing the edges inside 1..k-1 and deduplicated under vertex
+    permutations followed by re-canonicalization.
+    """
+    if not 1 <= k <= TARGET_ORDER_CAP:
+        raise OrderTooLargeError(f"target order {k} outside 1..{TARGET_ORDER_CAP}")
+    star = [(0, v, 1) for v in range(1, k)]
+    inner = [(u, v) for u in range(1, k) for v in range(u + 1, k)]
+    reps = {}
+    for bits in range(1 << len(inner)):
+        edges = star + [
+            (u, v, -1 if bits >> i & 1 else 1) for i, (u, v) in enumerate(inner)
+        ]
+        g = SignedGraph(k, edges)
+        key = min(
+            canonical_form(
+                SignedGraph(k, [(perm[u], perm[v], s) for u, v, s in g.edges])
+            )[0].edges
+            for perm in itertools.permutations(range(k))
+        )
+        reps.setdefault(key, SignedGraph(k, key))
+    return tuple(reps[key] for key in sorted(reps))
+
+
+def permutation_orbits(h: SignedGraph) -> list[int]:
+    """Reference for ``homomorphism._switching_automorphism_orbits``: a
+    new graph and an ``equivalent`` call for every edge-preserving
+    permutation.
+
+    One target vertex per orbit of the switching-automorphism group.
+    """
+    orbit = list(range(h.n))
+    for perm in itertools.permutations(range(h.n)):
+        # a bijection sending every edge to an edge is an automorphism
+        if any(not h.has_edge(perm[u], perm[v]) for u, v, _ in h.edges):
+            continue
+        permuted = SignedGraph(h.n, [(perm[u], perm[v], s) for u, v, s in h.edges])
+        if equivalent(permuted, h) is None:
+            continue
+        for u in range(h.n):
+            ru, rp = orbit[u], orbit[perm[u]]
+            if ru != rp:
+                lo, hi = min(ru, rp), max(ru, rp)
+                orbit = [lo if o == hi else o for o in orbit]
+    return sorted({orbit[u] for u in range(h.n)})

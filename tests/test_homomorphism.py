@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -14,6 +15,7 @@ from sgw.errors import (
 from sgw.homomorphism import (
     SignedHomomorphism,
     _search,
+    _switching_automorphism_orbits,
     _target_search_data,
     chromatic_number,
     enumerate_targets,
@@ -28,7 +30,10 @@ from sgw.switching import equivalent, switch
 
 from oracles import (
     naive_chromatic_number,
+    permutation_orbits,
+    permutation_targets,
     random_connected_signed_graph,
+    random_signature,
     scan_search,
 )
 
@@ -190,12 +195,25 @@ class TestFindHomomorphism:
 
 class TestEnumerateTargets:
     def test_counts(self):
-        assert [len(enumerate_targets(k)) for k in range(1, 7)] == [
-            1, 1, 2, 3, 7, 16,
+        # the numbers of two-graphs on k points (Mallows-Sloane 1975)
+        assert [len(enumerate_targets(k)) for k in range(1, 8)] == [
+            1, 1, 2, 3, 7, 16, 54,
         ]
 
+    def test_matches_permutation_oracle(self):
+        for k in range(1, 6):
+            assert enumerate_targets(k) == permutation_targets(k)
+
+    def test_order_six_matches_permutation_oracle(self):
+        # at k = 6 the oracle canonicalizes 2^10 * 6! graphs, close to a
+        # minute of work, so the sha256 of its output is pinned instead
+        edges = repr(tuple(t.edges for t in enumerate_targets(6)))
+        assert hashlib.sha256(edges.encode()).hexdigest() == (
+            "88ca5e66e03aef006f56b83428506bb05aa136c13856925992695b5bde14405f"
+        )
+
     def test_targets_are_complete_and_pairwise_inequivalent(self):
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 5):
             ts = enumerate_targets(k)
             for t in ts:
                 assert t.m == k * (k - 1) // 2
@@ -213,9 +231,37 @@ class TestEnumerateTargets:
 
     def test_order_cap(self):
         with pytest.raises(OrderTooLargeError):
-            enumerate_targets(7)
+            enumerate_targets(8)
         with pytest.raises(OrderTooLargeError):
             enumerate_targets(0)
+
+
+class TestSwitchingAutomorphismOrbits:
+    def test_targets_match_permutation_oracle(self):
+        for k in range(1, 7):
+            for h in enumerate_targets(k):
+                assert _switching_automorphism_orbits(h) == permutation_orbits(h)
+
+    def test_spal5_star_matches_permutation_oracle(self):
+        h = make("SPal5_star")
+        assert _switching_automorphism_orbits(h) == permutation_orbits(h)
+
+    def test_random_graphs_match_permutation_oracle(self):
+        # connected and disconnected, sparse and dense, up to 7 vertices
+        rng = random.Random(107)
+        graphs = [random_connected_signed_graph(rng, 1, 7) for _ in range(100)]
+        graphs += [
+            disjoint_union(random_connected_signed_graph(rng, 1, 3),
+                           random_connected_signed_graph(rng, 1, 4))
+            for _ in range(40)
+        ]
+        for _ in range(20):
+            n = rng.randint(2, 7)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.3]
+            graphs.append(build(n, random_signature(rng, pairs)))
+        for h in graphs:
+            assert _switching_automorphism_orbits(h) == permutation_orbits(h)
 
 
 class TestChromaticNumber:

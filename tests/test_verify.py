@@ -59,6 +59,14 @@ class TestSuites:
         assert report.passed
         assert report.entries[0].computed == 2  # ceil(4/2)
 
+    def test_kpq_order_seven(self):
+        # K2+ box K7- needs an order-7 target: the largest enumerated
+        report = verify_kpq(2, 7)
+        assert report.passed
+        last = report.entries[-1]
+        assert last.parameters == {"p": 2, "q": 7}
+        assert last.computed == 7
+
     def test_cycle_table_smallest_lengths(self):
         report = verify_cycle_table(4)
         assert report.passed
