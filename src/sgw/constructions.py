@@ -10,9 +10,9 @@ K_p+ box K_q-.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .core import SignedGraph, bfs_order
+from .core import SignedGraph
 from .errors import (
     BadParameterError,
     InternalInvariantViolation,

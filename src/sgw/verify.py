@@ -26,8 +26,6 @@ from .errors import BoundExceededError, GuardExceededError
 from .homomorphism import (
     TARGET_ORDER_CAP,
     chromatic_number,
-    enumerate_targets,
-    find_homomorphism,
     signed_isomorphic,
     validate,
 )

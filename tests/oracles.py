@@ -10,8 +10,9 @@ import itertools
 import random
 from itertools import combinations
 
-from sgw.core import SignedGraph
-from sgw.errors import OrderTooLargeError
+from sgw.core import SignedGraph, is_connected
+from sgw.errors import DisconnectedError, NoEdgesError, OrderTooLargeError
+from sgw.factor_ordinary import factorize
 from sgw.homomorphism import TARGET_ORDER_CAP
 from sgw.switching import canonical_form, equivalent
 
@@ -397,3 +398,90 @@ def permutation_orbits(h: SignedGraph) -> list[int]:
                 lo, hi = min(ru, rp), max(ru, rp)
                 orbit = [lo if o == hi else o for o in orbit]
     return sorted({orbit[u] for u in range(h.n)})
+
+
+def lemma_is_s_prime(g: SignedGraph) -> bool:
+    """Reference for ``s_factor.is_s_prime``: decide s-primality via the
+    layer-equivalence / balanced-square test.
+
+    The graph is not s-prime iff some grouping of its ordinary prime
+    factors into an A-side and a B-side has (1) all A-layers pairwise
+    switching-equivalent and (2) every 4-cycle spanned by two copies of an
+    A-edge balanced.  With k ordinary factors there are 2^(k-1) - 1
+    nontrivial groupings to try.
+    """
+    if g.m == 0:
+        raise NoEdgesError("s-primality needs at least one edge")
+    if not is_connected(g):
+        raise DisconnectedError("s-primality needs a connected graph")
+
+    od = factorize(g)
+    k = len(od.factors)
+    if k == 1:
+        return True
+    ocoords = od.coords.coords
+    oindex = od.coords.index
+    osizes = [f.n for f in od.factors]
+
+    # fix factor 0 on the A-side to halve the groupings
+    for mask in range(0, (1 << (k - 1)) - 1):
+        a_side = [0] + [j for j in range(1, k) if mask >> (j - 1) & 1]
+        if _lemma_conditions(g, ocoords, oindex, osizes, od, a_side):
+            return False
+    return True
+
+
+def _lemma_conditions(g, ocoords, oindex, osizes, od, a_side) -> bool:
+    k = len(osizes)
+    b_side = [j for j in range(k) if j not in a_side]
+
+    def a_index(u):
+        idx = 0
+        for j in a_side:
+            idx = idx * osizes[j] + ocoords[u][j]
+        return idx
+
+    a_size = 1
+    for j in a_side:
+        a_size *= osizes[j]
+
+    # group vertices into A-layers keyed by their B-side coordinates
+    layers = {}
+    for u in range(g.n):
+        key = tuple(ocoords[u][j] for j in b_side)
+        layers.setdefault(key, [None] * a_size)[a_index(u)] = u
+
+    base_key = tuple(0 for _ in b_side)
+    base = _layer_graph(g, layers[base_key], od, a_side)
+    for key, verts in layers.items():
+        if key == base_key:
+            continue
+        if equivalent(base, _layer_graph(g, verts, od, a_side)) is None:
+            return False
+
+    # every square spanned by two copies of an A-edge must be balanced
+    a_set = set(a_side)
+    for u, v, s_uv in g.edges:
+        if od.edge_color[(u, v)] not in a_set:
+            continue
+        for u2, s_u2 in g.adjacency[u]:
+            if od.edge_color[(min(u, u2), max(u, u2))] in a_set:
+                continue
+            cv2 = list(ocoords[u2])
+            for j in a_side:
+                cv2[j] = ocoords[v][j]
+            v2 = oindex[tuple(cv2)]
+            if s_uv * s_u2 * g.sign(u2, v2) * g.sign(v, v2) != 1:
+                return False
+    return True
+
+
+def _layer_graph(g, verts, od, a_side) -> SignedGraph:
+    a_set = set(a_side)
+    pos = {u: i for i, u in enumerate(verts)}
+    edges = []
+    for u in verts:
+        for w, s in g.adjacency[u]:
+            if w in pos and u < w and od.edge_color[(u, w)] in a_set:
+                edges.append((pos[u], pos[w], s))
+    return SignedGraph(len(verts), edges)

@@ -1,16 +1,23 @@
 import random
+from collections import Counter
 
 import pytest
 
 from sgw.constructions import make
-from sgw.core import build
+from sgw.core import SignedGraph, build
 from sgw.errors import DisconnectedError, NoEdgesError
+from sgw.factor_ordinary import factorize
 from sgw.homomorphism import signed_isomorphic
 from sgw.product import product_many
 from sgw.s_factor import is_s_prime, s_decompose
 from sgw.switching import switch
 
-from oracles import random_connected_signed_graph, reconstruct_product
+from oracles import (
+    lemma_is_s_prime,
+    random_connected_signed_graph,
+    random_signature,
+    reconstruct_product,
+)
 
 
 def random_s_prime(rng, n_min=2, n_max=5):
@@ -18,6 +25,11 @@ def random_s_prime(rng, n_min=2, n_max=5):
         g = random_connected_signed_graph(rng, n_min, n_max)
         if is_s_prime(g):
             return g
+
+
+def flip_one(rng, g):
+    i = rng.randrange(g.m)
+    return SignedGraph(g.n, [(u, v, -s if j == i else s) for j, (u, v, s) in enumerate(g.edges)])
 
 
 class TestLandmarks:
@@ -99,3 +111,31 @@ class TestSDecompose:
             is_s_prime(build(1, []))
         with pytest.raises(DisconnectedError):
             is_s_prime(build(4, [(0, 1, 1), (2, 3, -1)]))
+
+
+class TestSPrimality:
+    def test_matches_lemma_oracle(self):
+        rng = random.Random(41)
+        graphs = [random_connected_signed_graph(rng, 2, 9) for _ in range(200)]
+        for _ in range(100):
+            parts = [random_connected_signed_graph(rng, 2, 4) for _ in range(rng.randint(2, 3))]
+            g, _ = product_many(parts)
+            g = switch(g, [v for v in range(g.n) if rng.random() < 0.5])
+            signs = SignedGraph(g.n, random_signature(rng, g.underlying_edges()))
+            graphs += [g, flip_one(rng, g), signs]
+        answers = Counter()
+        for g in graphs:
+            prime = is_s_prime(g)
+            assert prime == lemma_is_s_prime(g)
+            if len(factorize(g).factors) >= 2:
+                answers[prime] += 1
+        assert min(answers[True], answers[False]) >= 50
+
+    def test_ten_factor_cube(self):
+        q10, _ = product_many([make("K_plus", 2)] * 10)
+        assert q10.n == 1024
+        assert not is_s_prime(q10)
+        assert len(s_decompose(q10).factors) == 10
+        flipped = flip_one(random.Random(43), q10)
+        assert is_s_prime(flipped)
+        assert len(s_decompose(flipped).factors) == 1
