@@ -15,8 +15,10 @@ at most 2 h.n buckets instead of scanning every vertex: a search node
 costs O(degree + h.n) bitmask operations, not O(n).  Symmetries used:
 the switch bit of the first vertex of each component is pinned to 0,
 and the image of that vertex is restricted to one representative per
-orbit of the target's switching-automorphism group.  An unbalanced
-source is refuted against a balanced target without search.
+orbit of the target's switching-automorphism group.  Those orbits come
+from the module's one switching-isomorphism search, which walks the
+target's edges in BFS order and also answers ``signed_isomorphic``.  An
+unbalanced source is refuted against a balanced target without search.
 
 The search is iterative, with an explicit stack, so its depth is not
 bounded by Python's recursion limit.  It is also resumable: it pauses
@@ -41,7 +43,7 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .factor_ordinary import DisjointSet
-from .switching import equivalent, is_balanced
+from .switching import is_balanced
 
 TARGET_ORDER_CAP = 7
 
@@ -100,15 +102,15 @@ def _edge_masks(h: SignedGraph) -> dict[int, list[int]]:
 
 
 def _switching_key(neg, perm, edges, tree) -> int:
-    """Switching-class key of the signing (a, b) -> neg[perm[a]][perm[b]].
+    """Switching-class key of the signing (a, b) -> neg[perm[a]][perm[b]]
+    of a complete graph, for ``enumerate_targets``.
 
-    ``neg`` is a 0/1 matrix (1 for a negative edge) and ``tree`` lists the
-    (vertex, parent) pairs of a spanning forest, parents first.  The
-    signing is switched so that every forest edge is positive, and bit i
-    of the key is set when ``edges[i]`` is then negative.  Two signings of
-    one graph are switching equivalent exactly when their keys over the
-    same forest agree.  On a complete graph with the star at 0 as the
-    tree, bit (u, v) is s(u, v) s(0, u) s(0, v) read as a sign.
+    ``neg`` is a 0/1 matrix (1 for a negative edge) and ``tree`` is the
+    star at 0 as (vertex, parent) pairs.  The signing is switched so that
+    every star edge is positive, and bit i of the key is set when
+    ``edges[i]`` is then negative, so bit (u, v) is s(u, v) s(0, u) s(0, v)
+    read as a sign.  Two signings have the same key exactly when they are
+    switching equivalent.
     """
     flip = [0] * len(perm)
     for v, p in tree:
@@ -120,46 +122,77 @@ def _switching_key(neg, perm, edges, tree) -> int:
     return key
 
 
-def _spanning_forest(h: SignedGraph) -> list[tuple[int, int]]:
-    """(vertex, parent) pairs of a BFS spanning forest, parents first; for
-    a complete graph this is the star at 0."""
-    seen = [False] * h.n
-    tree = []
-    for root in range(h.n):
-        if seen[root]:
+def _switching_isomorphisms(g1: SignedGraph, g2: SignedGraph):
+    """Every switching isomorphism from g2 onto g1, as the tuple of g1
+    vertices indexed by g2 vertex.
+
+    g2's vertices are placed in BFS order, one component after another,
+    so every vertex but a component root has an earlier neighbour, its
+    BFS parent.  A vertex's image is an unused neighbour of its parent's
+    image with the same degree (a root may take any unused vertex of its
+    degree), and the tree edge forces its switch flag.  Each other edge
+    back to a placed vertex must land on a g1 edge whose sign, after
+    switching both ends, is the g2 sign.  With g1.m == g2.m a map sending
+    every g2 edge onto a g1 edge is onto, so non-edges need no check.
+    The search keeps an explicit stack of candidate lists.
+    """
+    n = g1.n
+    if n != g2.n or g1.m != g2.m:
+        return
+    if not n:
+        yield ()
+        return
+    order = [a for comp in connected_components(g2) for a in comp]
+    pos = {a: i for i, a in enumerate(order)}
+    # (placed neighbour, 1 if the edge is negative), the BFS parent first
+    back = [sorted(((b, int(s < 0)) for b, s in g2.adjacency[a] if pos[b] < pos[a]),
+                   key=lambda e: pos[e[0]]) for a in order]
+    neg1 = [{t: int(s < 0) for t, s in g1.adjacency[u]} for u in range(n)]
+    image = [-1] * n
+    flip = [0] * n
+    used = [False] * n
+
+    def candidates(i: int) -> list[tuple[int, int]]:
+        degree = g2.degree(order[i])
+        if not back[i]:
+            return [(t, 0) for t in reversed(range(n))
+                    if not used[t] and g1.degree(t) == degree]
+        (p, sp), rest = back[i][0], back[i][1:]
+        out = []
+        for t, s in reversed(g1.adjacency[image[p]]):
+            if used[t] or g1.degree(t) != degree:
+                continue
+            f = flip[p] ^ int(s < 0) ^ sp
+            row = neg1[t]
+            if all(image[b] in row and row[image[b]] ^ flip[b] ^ f == sb
+                   for b, sb in rest):
+                out.append((t, f))
+        return out
+
+    stack = [candidates(0)]
+    while stack:
+        a = order[len(stack) - 1]
+        if image[a] >= 0:
+            used[image[a]] = False
+            image[a] = -1
+        if not stack[-1]:
+            stack.pop()
             continue
-        seen[root] = True
-        queue = [root]
-        for u in queue:
-            for v, _ in h.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    tree.append((v, u))
-                    queue.append(v)
-    return tree
+        image[a], flip[a] = stack[-1].pop()
+        used[image[a]] = True
+        if len(stack) < n:
+            stack.append(candidates(len(stack)))
+        else:
+            yield tuple(image)
 
 
 def _switching_automorphism_orbits(h: SignedGraph) -> list[int]:
     """One target vertex per orbit of the switching-automorphism group,
-    the least of each orbit.
-
-    A vertex permutation that maps edges to edges is a switching
-    automorphism exactly when the permuted signing has h's key over one
-    spanning forest of h, so no graph is built per permutation.
-    """
-    neg = [[0] * h.n for _ in range(h.n)]
-    for u, v, s in h.edges:
-        neg[u][v] = neg[v][u] = int(s < 0)
-    edges = h.underlying_edges()
-    tree = _spanning_forest(h)
-    key = _switching_key(neg, range(h.n), edges, tree)
+    the least of each orbit."""
     orbits = DisjointSet(h.n)
-    for perm in itertools.permutations(range(h.n)):
-        if any(not h.has_edge(perm[u], perm[v]) for u, v in edges):
-            continue
-        if _switching_key(neg, perm, edges, tree) == key:
-            for u in range(h.n):
-                orbits.union(u, perm[u])
+    for perm in _switching_isomorphisms(h, h):
+        for u in range(h.n):
+            orbits.union(u, perm[u])
     return sorted({orbits.find(u) for u in range(h.n)})
 
 
@@ -474,40 +507,7 @@ def signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff some vertex bijection plus a switching takes g1 to g2."""
     if g1.n > ISOMORPHISM_ORDER_CAP or g2.n > ISOMORPHISM_ORDER_CAP:
         raise TooLargeError(f"isomorphism capped at {ISOMORPHISM_ORDER_CAP} vertices")
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if sorted(map(g1.degree, range(g1.n))) != sorted(map(g2.degree, range(g2.n))):
-        return False
-    order = sorted(range(g1.n), key=g1.degree, reverse=True)
-    image = [-1] * g1.n
-    used = [False] * g2.n
-
-    def extend(i: int) -> bool:
-        if i == g1.n:
-            permuted = SignedGraph(
-                g1.n, [(image[u], image[v], s) for u, v, s in g1.edges]
-            )
-            if permuted.underlying_edges() != g2.underlying_edges():
-                return False
-            return equivalent(permuted, g2) is not None
-        v = order[i]
-        for t in range(g2.n):
-            if used[t] or g1.degree(v) != g2.degree(t):
-                continue
-            if any(
-                image[w] >= 0 and g2.has_edge(t, image[w]) != g1.has_edge(v, w)
-                for w in range(g1.n)
-            ):
-                continue
-            image[v] = t
-            used[t] = True
-            if extend(i + 1):
-                return True
-            image[v] = -1
-            used[t] = False
-        return False
-
-    return extend(0)
+    return next(_switching_isomorphisms(g1, g2), None) is not None
 
 
 def is_s_redundant(g: SignedGraph, s: Sequence[int]) -> bool:

@@ -24,9 +24,6 @@ from .core import SignedGraph, bfs_order
 from .factor_ordinary import DisjointSet, factorize
 from .product import CoordinateSystem
 
-ColorMerger = DisjointSet  # disjoint-set structure over ordinary factor indices
-
-
 @dataclass(frozen=True)
 class SDecomposition:
     factors: tuple[SignedGraph, ...]
@@ -45,7 +42,7 @@ def s_decompose(g: SignedGraph, debug_trace: Optional[list] = None) -> SDecompos
     od = factorize(g)
     k = len(od.factors)
     ocoords = od.coords.coords
-    merger, sign, switched = _merge_colors(g, od, debug_trace)
+    merger, switched = _merge_colors(g, od, debug_trace)
 
     # assemble final factors from merged colors, base layers through vertex 0
     classes = []
@@ -76,10 +73,11 @@ def s_decompose(g: SignedGraph, debug_trace: Optional[list] = None) -> SDecompos
         fedges = []
         lset = set(layer)
         for u in layer:
-            for w, _ in g.adjacency[u]:
+            for w, s in g.adjacency[u]:
                 if u < w and w in lset:
-                    fedges.append((merged_coord(u, members), merged_coord(w, members),
-                                   sign[(u, w)]))
+                    if switched[u] != switched[w]:
+                        s = -s
+                    fedges.append((merged_coord(u, members), merged_coord(w, members), s))
         factors.append(SignedGraph(size, fedges))
 
     coords = tuple(
@@ -103,60 +101,51 @@ def is_s_prime(g: SignedGraph) -> bool:
     k = len(od.factors)
     if k == 1:
         return True
-    merger, _, _ = _merge_colors(g, od, None)
+    merger, _ = _merge_colors(g, od, None)
     return all(merger.find(j) == 0 for j in range(k))
 
 
 def _merge_colors(g: SignedGraph, od, debug_trace: Optional[list]):
     """The BFS merge pass over the ordinary colors of ``od``.
 
-    Returns the color merger, the running edge signs (both orientations)
-    after the switches, and the per-vertex switched flags.
+    Returns the color merger and the per-vertex switched flags.  A vertex
+    is switched at most once, before it joins S, so an edge's current
+    sign is its input sign times -1 when exactly one end is switched.
     """
     k = len(od.factors)
     ocoords = od.coords.coords
     oindex = od.coords.index
     order, dist = bfs_order(g, 0)
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
 
-    merger = ColorMerger(k)
-    sign = {}
-    for u, v, s in g.edges:
-        sign[(u, v)] = s
-        sign[(v, u)] = s
+    merger = DisjointSet(k)
+    members = {j: [j] for j in range(k)}  # per class root, ascending
 
-    def class_members(i: int) -> list[int]:
-        return [j for j in range(k) if merger.find(j) == i]
-
-    def project_edge(x: int, y: int, members: list[int]) -> tuple[int, int]:
+    def project_edge(x: int, y: int, cls: list[int]) -> tuple[int, int]:
         # zero out every ordinary coordinate outside the merged color
         cx = [0] * k
         cy = [0] * k
-        for j in members:
+        for j in cls:
             cx[j] = ocoords[x][j]
             cy[j] = ocoords[y][j]
         return oindex[tuple(cx)], oindex[tuple(cy)]
 
-    def do_switch(y: int):
-        for w, _ in g.adjacency[y]:
-            sign[(y, w)] = -sign[(y, w)]
-            sign[(w, y)] = sign[(y, w)]
-
     in_s = [False] * g.n
     switched = [False] * g.n
-    treated = set()
 
     for x in order:
         in_s[x] = True
-        for y, _ in g.adjacency[x]:
-            key = (min(x, y), max(x, y))
-            if key in treated:
+        for y, s in g.adjacency[x]:
+            if pos[y] < pos[x]:  # handled from y
                 continue
-            i = merger.find(od.edge_color[key])
-            xp, yp = project_edge(x, y, class_members(i))
-            same = sign[(x, y)] == sign[(xp, yp)]
+            i = merger.find(od.edge_color[(min(x, y), max(x, y))])
+            xp, yp = project_edge(x, y, members[i])
+            flips = switched[x] ^ switched[y] ^ switched[xp] ^ switched[yp]
+            same = (s == g.sign(xp, yp)) != flips
             if not same and not in_s[y]:
-                do_switch(y)
-                switched[y] = not switched[y]
+                switched[y] = True
                 in_s[y] = True
                 if debug_trace is not None:
                     debug_trace.append(("switch", y))
@@ -167,11 +156,15 @@ def _merge_colors(g: SignedGraph, od, debug_trace: Optional[list]):
                 for z, _ in g.adjacency[y]:
                     if dist[z] < dist[y]:
                         merged.append(merger.find(od.edge_color[(min(y, z), max(y, z))]))
+                joined = False
                 for c in merged[1:]:
-                    merger.union(merged[0], c)
+                    joined |= merger.union(merged[0], c)
+                if joined:
+                    members = {}
+                    for j in range(k):
+                        members.setdefault(merger.find(j), []).append(j)
                 if debug_trace is not None:
                     debug_trace.append(("merge", y, tuple(sorted(set(merged)))))
-            treated.add(key)
         if debug_trace is not None:
             debug_trace.append(("done", x))
-    return merger, sign, switched
+    return merger, switched

@@ -119,10 +119,13 @@ class Report:
         return "\n".join(lines)
 
 
-def _timed(fn) -> tuple[object, float]:
+def _entry(claim: str, parameters: dict, expected, work) -> ReportEntry:
+    """Report entry for ``work()``, which returns (computed, passed); only
+    ``work`` is timed."""
     start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
+    computed, passed = work()
+    return ReportEntry(claim, parameters, expected, computed, passed,
+                       time.perf_counter() - start)
 
 
 def _checked_chi(g: SignedGraph, expected: int) -> tuple[int, bool]:
@@ -160,15 +163,9 @@ def verify_cycle_table(max_len: int = 6) -> Report:
                 chi_cache[key] = _checked_chi(g, expected)
             return chi_cache[key]
 
-        (computed, ok), elapsed = _timed(work)
-        return ReportEntry(
-            claim="chi_s of signed cycle product",
-            parameters={"left": f"{ca.value}({la})", "right": f"{cb.value}({lb})"},
-            expected=expected,
-            computed=computed,
-            passed=ok,
-            elapsed=elapsed,
-        )
+        return _entry("chi_s of signed cycle product",
+                      {"left": f"{ca.value}({la})", "right": f"{cb.value}({lb})"},
+                      expected, work)
 
     report.entries = [
         entry(ca, la, cb, lb)
@@ -203,15 +200,8 @@ def verify_kpq(max_p: int, max_q: int) -> Report:
             computed, lower_ok = _checked_chi(g, expected)
             return computed, upper_ok and lower_ok
 
-        (computed, ok), elapsed = _timed(work)
-        return ReportEntry(
-            claim="chi_s(K_p+ box K_q-) = ceil(pq/2)",
-            parameters={"p": p, "q": q},
-            expected=expected,
-            computed=computed,
-            passed=ok,
-            elapsed=elapsed,
-        )
+        return _entry("chi_s(K_p+ box K_q-) = ceil(pq/2)", {"p": p, "q": q},
+                      expected, work)
 
     report.entries = [
         entry(p, q)
@@ -237,15 +227,8 @@ def verify_uc_bc_gap(max_q: int, max_p: int) -> Report:
                 return f"no target of order <= 4 (chi_s >= {exc.lo})", exc.lo >= 5
             return cert.k, False
 
-        (computed, ok), elapsed = _timed(work)
-        return ReportEntry(
-            claim="chi_s(UC_q box BC_odd) > 4",
-            parameters={"q": q, "odd": odd},
-            expected="> 4",
-            computed=computed,
-            passed=ok,
-            elapsed=elapsed,
-        )
+        return _entry("chi_s(UC_q box BC_odd) > 4", {"q": q, "odd": odd},
+                      "> 4", work)
 
     report.entries = [
         entry(q, odd)
@@ -260,51 +243,19 @@ def verify_grid_fig1c() -> Report:
     """The 3x4 grid of the counterexample has chromatic number exactly 5."""
     report = Report("grid_fig1c")
 
-    def chi_entry() -> ReportEntry:
-        def work():
-            return _checked_chi(fig1c_grid(), 5)
+    def palette():
+        g = fig1c_grid()
+        valid = validate(g, make("SPal5_star"), grid_hom_spal5star(g, 3, 4))
+        return valid, valid is True
 
-        (computed, ok), elapsed = _timed(work)
-        return ReportEntry(
-            claim="chi_s of the counterexample grid",
-            parameters={"rows": 3, "cols": 4},
-            expected=5,
-            computed=computed,
-            passed=ok,
-            elapsed=elapsed,
-        )
-
-    def positive_entry() -> ReportEntry:
-        def work():
-            return _checked_chi(build_grid(3, 4), 2)
-
-        (computed, ok), elapsed = _timed(work)
-        return ReportEntry(
-            claim="chi_s of the all-positive grid",
-            parameters={"rows": 3, "cols": 4},
-            expected=2,
-            computed=computed,
-            passed=ok,
-            elapsed=elapsed,
-        )
-
-    def palette_entry() -> ReportEntry:
-        def work():
-            g = fig1c_grid()
-            hom = grid_hom_spal5star(g, 3, 4)
-            return validate(g, make("SPal5_star"), hom)
-
-        valid, elapsed = _timed(work)
-        return ReportEntry(
-            claim="counterexample grid maps into SPal5*",
-            parameters={"rows": 3, "cols": 4},
-            expected=True,
-            computed=valid,
-            passed=valid is True,
-            elapsed=elapsed,
-        )
-
-    report.entries = [chi_entry(), positive_entry(), palette_entry()]
+    report.entries = [
+        _entry("chi_s of the counterexample grid", {"rows": 3, "cols": 4}, 5,
+               lambda: _checked_chi(fig1c_grid(), 5)),
+        _entry("chi_s of the all-positive grid", {"rows": 3, "cols": 4}, 2,
+               lambda: _checked_chi(build_grid(3, 4), 2)),
+        _entry("counterexample grid maps into SPal5*", {"rows": 3, "cols": 4},
+               True, palette),
+    ]
     return report
 
 
@@ -312,35 +263,24 @@ def verify_k4_classes() -> Report:
     """All 64 signatures of K4 fall into exactly 3 switching classes."""
     report = Report("k4_classes")
 
-    def entry() -> ReportEntry:
-        def work():
-            pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-            reps: list[SignedGraph] = []
-            for bits in range(64):
-                g = SignedGraph(
-                    4,
-                    [(u, v, -1 if bits >> i & 1 else 1)
-                     for i, (u, v) in enumerate(pairs)],
-                )
-                if not any(signed_isomorphic(g, r) for r in reps):
-                    reps.append(g)
-            named = [make("K_plus", 4), make("K_minus", 4), make("K4_mixed")]
-            matched = all(
-                sum(1 for r in reps if signed_isomorphic(r, h)) == 1 for h in named
+    def work():
+        pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        reps: list[SignedGraph] = []
+        for bits in range(64):
+            g = SignedGraph(
+                4,
+                [(u, v, -1 if bits >> i & 1 else 1)
+                 for i, (u, v) in enumerate(pairs)],
             )
-            return len(reps), matched
-
-        (count, matched), elapsed = _timed(work)
-        return ReportEntry(
-            claim="switching classes of K4",
-            parameters={"signatures": 64},
-            expected=3,
-            computed=count,
-            passed=count == 3 and matched,
-            elapsed=elapsed,
+            if not any(signed_isomorphic(g, r) for r in reps):
+                reps.append(g)
+        named = [make("K_plus", 4), make("K_minus", 4), make("K4_mixed")]
+        matched = all(
+            sum(1 for r in reps if signed_isomorphic(r, h)) == 1 for h in named
         )
+        return len(reps), len(reps) == 3 and matched
 
-    report.entries = [entry()]
+    report.entries = [_entry("switching classes of K4", {"signatures": 64}, 3, work)]
     return report
 
 
@@ -358,40 +298,23 @@ def verify_k18(unbounded: bool = False) -> Report:
             "to attempt it anyway"
         )
     report = Report("k18")
+    counts = (18, 153, 69)
 
-    def data_entry() -> ReportEntry:
-        def work():
-            g = make("K18")
-            return (g.n, g.m, len(g.negative_edges()))
+    def data():
+        g = make("K18")
+        computed = (g.n, g.m, len(g.negative_edges()))
+        return computed, computed == counts
 
-        computed, elapsed = _timed(work)
-        return ReportEntry(
-            claim="K18 data integrity",
-            parameters={},
-            expected=(18, 153, 69),
-            computed=computed,
-            passed=computed == (18, 153, 69),
-            elapsed=elapsed,
-        )
+    def chi():
+        g, _ = cartesian_product(make("K18"), make("K_plus", 2))
+        try:
+            return f"chi_s = {chromatic_number(g).k}", False
+        except BoundExceededError as exc:
+            return f"interval [{exc.lo}, unknown]", False
 
-    def chi_entry() -> ReportEntry:
-        def work():
-            g, _ = cartesian_product(make("K18"), make("K_plus", 2))
-            try:
-                cert = chromatic_number(g)
-                return f"chi_s = {cert.k}"
-            except BoundExceededError as exc:
-                return f"interval [{exc.lo}, unknown]"
-
-        computed, elapsed = _timed(work)
-        return ReportEntry(
-            claim="chi_s(K18 box K2) = 25",
-            parameters={"note": "beyond desk scale; order-25 targets needed"},
-            expected=25,
-            computed=computed,
-            passed=False,
-            elapsed=elapsed,
-        )
-
-    report.entries = [data_entry(), chi_entry()]
+    report.entries = [
+        _entry("K18 data integrity", {}, counts, data),
+        _entry("chi_s(K18 box K2) = 25",
+               {"note": "beyond desk scale; order-25 targets needed"}, 25, chi),
+    ]
     return report

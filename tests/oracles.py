@@ -11,9 +11,14 @@ import random
 from itertools import combinations
 
 from sgw.core import SignedGraph, is_connected
-from sgw.errors import DisconnectedError, NoEdgesError, OrderTooLargeError
+from sgw.errors import (
+    DisconnectedError,
+    NoEdgesError,
+    OrderTooLargeError,
+    TooLargeError,
+)
 from sgw.factor_ordinary import factorize
-from sgw.homomorphism import TARGET_ORDER_CAP
+from sgw.homomorphism import ISOMORPHISM_ORDER_CAP, TARGET_ORDER_CAP
 from sgw.switching import canonical_form, equivalent
 
 
@@ -398,6 +403,51 @@ def permutation_orbits(h: SignedGraph) -> list[int]:
                 lo, hi = min(ru, rp), max(ru, rp)
                 orbit = [lo if o == hi else o for o in orbit]
     return sorted({orbit[u] for u in range(h.n)})
+
+
+def backtrack_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
+    """Reference for ``homomorphism.signed_isomorphic``: a degree-pruned
+    backtracking over bijections that builds the permuted graph at every
+    complete bijection and asks ``equivalent``.
+
+    True iff some vertex bijection plus a switching takes g1 to g2.
+    """
+    if g1.n > ISOMORPHISM_ORDER_CAP or g2.n > ISOMORPHISM_ORDER_CAP:
+        raise TooLargeError(f"isomorphism capped at {ISOMORPHISM_ORDER_CAP} vertices")
+    if g1.n != g2.n or g1.m != g2.m:
+        return False
+    if sorted(map(g1.degree, range(g1.n))) != sorted(map(g2.degree, range(g2.n))):
+        return False
+    order = sorted(range(g1.n), key=g1.degree, reverse=True)
+    image = [-1] * g1.n
+    used = [False] * g2.n
+
+    def extend(i: int) -> bool:
+        if i == g1.n:
+            permuted = SignedGraph(
+                g1.n, [(image[u], image[v], s) for u, v, s in g1.edges]
+            )
+            if permuted.underlying_edges() != g2.underlying_edges():
+                return False
+            return equivalent(permuted, g2) is not None
+        v = order[i]
+        for t in range(g2.n):
+            if used[t] or g1.degree(v) != g2.degree(t):
+                continue
+            if any(
+                image[w] >= 0 and g2.has_edge(t, image[w]) != g1.has_edge(v, w)
+                for w in range(g1.n)
+            ):
+                continue
+            image[v] = t
+            used[t] = True
+            if extend(i + 1):
+                return True
+            image[v] = -1
+            used[t] = False
+        return False
+
+    return extend(0)
 
 
 def lemma_is_s_prime(g: SignedGraph) -> bool:

@@ -29,6 +29,7 @@ from sgw.product import cartesian_product
 from sgw.switching import equivalent, switch
 
 from oracles import (
+    backtrack_isomorphic,
     naive_chromatic_number,
     permutation_orbits,
     permutation_targets,
@@ -156,6 +157,19 @@ class TestFindHomomorphism:
         phi = find_homomorphism(g, target)
         assert phi is not None and validate(g, target, phi)
 
+    @pytest.mark.parametrize("target", [
+        make("BC", 12),
+        random_grid(random.Random(113), 4),
+        build(1500, [(v, v + 1, s) for v, s in
+                     enumerate(random.Random(127).choices((1, -1), k=1499))]),
+    ], ids=["BC_12", "grid_4x4", "path_1500"])
+    def test_large_sparse_target(self, target):
+        # the target's switching automorphisms come from a search along
+        # its edges, so a large sparse target costs no n! permutation walk
+        source = make("K_plus", 2)
+        phi = find_homomorphism(source, target)
+        assert phi is not None and validate(source, target, phi)
+
     def test_unbalanced_source_into_balanced_target(self):
         # refuted by balance alone; an exhaustive search ran over a minute
         rng = random.Random(97)
@@ -241,6 +255,14 @@ class TestSwitchingAutomorphismOrbits:
         for k in range(1, 7):
             for h in enumerate_targets(k):
                 assert _switching_automorphism_orbits(h) == permutation_orbits(h)
+
+    def test_order_seven_matches_permutation_oracle(self):
+        # the oracle builds a graph and runs ``equivalent`` for each of
+        # 54 * 7! permutations, so the sha256 of the agreed output is pinned
+        orbits = repr([_switching_automorphism_orbits(h) for h in enumerate_targets(7)])
+        assert hashlib.sha256(orbits.encode()).hexdigest() == (
+            "cd95ce76361ae4971c8c457fef43be836e285d13c55fdebf8506bbfb77d531f6"
+        )
 
     def test_spal5_star_matches_permutation_oracle(self):
         h = make("SPal5_star")
@@ -359,6 +381,56 @@ class TestSignedIsomorphic:
         b = build(6, [(u, v, -1 if (u, v) == (4, 5) else 1) for u, v in bones])
         assert equivalent(a, b) is None
         assert signed_isomorphic(a, b)
+
+    def test_matches_backtracking_oracle(self):
+        # relabelled-and-switched copies, the same with one edge flipped or
+        # deleted, disjoint unions, and degree-preserving edge swaps
+        rng = random.Random(127)
+
+        def relabel_switch(g):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            x = [v for v in range(g.n) if rng.random() < 0.5]
+            return switch(build(g.n, [(perm[u], perm[v], s) for u, v, s in g.edges]), x)
+
+        def flip_one(g):
+            i = rng.randrange(g.m)
+            return build(g.n, [(u, v, -s if j == i else s)
+                               for j, (u, v, s) in enumerate(g.edges)])
+
+        def drop_one(g):
+            i = rng.randrange(g.m)
+            return build(g.n, g.edges[:i] + g.edges[i + 1:])
+
+        def swap_edges(g):
+            # ab, cd -> ac, bd keeps every degree; None when no swap fits
+            for _ in range(20):
+                (a, b, s), (c, d, t) = rng.sample(g.edges, 2)
+                if len({a, b, c, d}) == 4 and not g.has_edge(a, c) \
+                        and not g.has_edge(b, d):
+                    rest = [e for e in g.edges if e[:2] not in ((a, b), (c, d))]
+                    return build(g.n, rest + [(a, c, s), (b, d, t)])
+            return None
+
+        pairs = []
+        for _ in range(150):
+            g = random_connected_signed_graph(rng, 2, 8)
+            h = relabel_switch(g)
+            pairs += [(g, h), (g, flip_one(h)), (g, drop_one(h))]
+        for _ in range(60):
+            a = random_connected_signed_graph(rng, 2, 4)
+            b = random_connected_signed_graph(rng, 2, 4)
+            g = disjoint_union(a, b)
+            h = relabel_switch(disjoint_union(b, a))
+            pairs += [(g, h), (g, flip_one(h))]
+        while len(pairs) < 750:
+            g = random_connected_signed_graph(rng, 4, 8)
+            h = swap_edges(g)
+            if h is not None:
+                pairs.append((g, relabel_switch(h)))
+        answers = [signed_isomorphic(g, h) for g, h in pairs]
+        assert answers == [backtrack_isomorphic(g, h) for g, h in pairs]
+        assert min(answers.count(True), answers.count(False)) >= 100
 
     def test_order_cap(self):
         with pytest.raises(TooLargeError):
