@@ -13,11 +13,15 @@ the smallest domain.  It keeps the unassigned vertices bucketed by
 domain size, as one bitmask per size, so choosing the next vertex reads
 at most 2 h.n buckets instead of scanning every vertex: a search node
 costs O(degree + h.n) bitmask operations, not O(n).  Symmetries used:
-the switch bit of the first vertex of each component is pinned to 0,
-and the image of that vertex is restricted to one representative per
-orbit of the target's switching-automorphism group.  Those orbits come
-from the module's one switching-isomorphism search, which walks the
-target's edges in BFS order and also answers ``signed_isomorphic``.  An
+the target's switching automorphisms, with the switch of any whole
+component, act on literals, and every vertex tries only the least
+literal of each orbit of the stabilizer of the literals already on the
+path.  At the first vertex of a component that is one target vertex per
+orbit, with switch bit 0; once the stabilizer is trivial the vertex
+tries its whole domain.  The orbits come from the module's one
+switching-isomorphism search, which walks the target's edges in BFS
+order and also answers ``signed_isomorphic``; it finds one automorphism
+per coset along a stabilizer chain and never the whole group.  An
 unbalanced source is refuted against a balanced target without search.
 
 The search is iterative, with an explicit stack, so its depth is not
@@ -89,15 +93,13 @@ def _edge_masks(h: SignedGraph) -> dict[int, list[int]]:
     nl = 2 * h.n
     allowed = {1: [0] * nl, -1: [0] * nl}
     for tu in range(h.n):
-        for bu in (0, 1):
-            lit = 2 * tu + bu
-            for tv in range(h.n):
-                if tv == tu or not h.has_edge(tu, tv):
-                    continue
-                pi = h.sign(tu, tv)
-                for bv in (0, 1):
-                    eff = -1 if (bu ^ bv) else 1
-                    allowed[pi * eff][lit] |= 1 << (2 * tv + bv)
+        for tv, pi in h.adjacency[tu]:
+            b0, b1 = 1 << (2 * tv), 2 << (2 * tv)  # tv with switch bit 0, 1
+            # equal switch bits keep the target sign pi, unequal ones flip it
+            allowed[pi][2 * tu] |= b0
+            allowed[-pi][2 * tu] |= b1
+            allowed[pi][2 * tu + 1] |= b1
+            allowed[-pi][2 * tu + 1] |= b0
     return allowed
 
 
@@ -122,52 +124,76 @@ def _switching_key(neg, perm, edges, tree) -> int:
     return key
 
 
-def _switching_isomorphisms(g1: SignedGraph, g2: SignedGraph):
-    """Every switching isomorphism from g2 onto g1, as the tuple of g1
-    vertices indexed by g2 vertex.
+def _switching_isomorphisms(g1: SignedGraph, g2: SignedGraph, pins=()):
+    """Every switching isomorphism from g2 onto g1, as the pair (image,
+    flip) of tuples indexed by g2 vertex: the g1 vertex it goes to and
+    whether it is switched.
 
-    g2's vertices are placed in BFS order, one component after another,
-    so every vertex but a component root has an earlier neighbour, its
-    BFS parent.  A vertex's image is an unused neighbour of its parent's
-    image with the same degree (a root may take any unused vertex of its
-    degree), and the tree edge forces its switch flag.  Each other edge
-    back to a placed vertex must land on a g1 edge whose sign, after
-    switching both ends, is the g2 sign.  With g1.m == g2.m a map sending
-    every g2 edge onto a g1 edge is onto, so non-edges need no check.
-    The search keeps an explicit stack of candidate lists.
+    ``pins`` holds (a, t, f) triples: g2 vertex a must go to t with flip
+    f.  The pinned vertices are placed first, then the rest in BFS order
+    from them, then each remaining component in BFS order from its least
+    vertex, so every vertex but a pin or a component root has an earlier
+    neighbour, its BFS parent.  A vertex's image is an unused neighbour of
+    its parent's image with the same degree (an unpinned root may take any
+    unused vertex of its degree, with flip 0), and the tree edge forces its
+    switch flag.  Each other edge back to a placed vertex must land on a
+    g1 edge whose sign, after switching both ends, is the g2 sign.  With
+    g1.m == g2.m a map sending every g2 edge onto a g1 edge is onto, so
+    non-edges need no check.  The search keeps an explicit stack of
+    candidate lists.
     """
     n = g1.n
     if n != g2.n or g1.m != g2.m:
         return
     if not n:
-        yield ()
+        yield (), ()
         return
-    order = [a for comp in connected_components(g2) for a in comp]
-    pos = {a: i for i, a in enumerate(order)}
-    # (placed neighbour, 1 if the edge is negative), the BFS parent first
-    back = [sorted(((b, int(s < 0)) for b, s in g2.adjacency[a] if pos[b] < pos[a]),
-                   key=lambda e: pos[e[0]]) for a in order]
-    neg1 = [{t: int(s < 0) for t, s in g1.adjacency[u]} for u in range(n)]
+    pinned = {a: (t, f) for a, t, f in pins}
+    order = []
+    placed = [False] * n
+    for sources in itertools.chain([list(pinned)], ([a] for a in range(n))):
+        i = len(order)
+        for a in sources:
+            if not placed[a]:
+                placed[a] = True
+                order.append(a)
+        while i < len(order):
+            for b, _ in g2.adjacency[order[i]]:
+                if not placed[b]:
+                    placed[b] = True
+                    order.append(b)
+            i += 1
+    pos = [0] * n
+    for i, a in enumerate(order):
+        pos[a] = i
+    # (placed neighbour, 1 if the edge is negative) in placing order, so
+    # the BFS parent first
+    back = [[] for _ in range(n)]
+    for i, a in enumerate(order):
+        for b, s in g2.adjacency[a]:
+            if pos[b] > i:
+                back[pos[b]].append((a, int(s < 0)))
+    sign1 = [dict(row) for row in g1.adjacency]
+    degree1 = [len(row) for row in sign1]
     image = [-1] * n
     flip = [0] * n
     used = [False] * n
 
     def candidates(i: int) -> list[tuple[int, int]]:
-        degree = g2.degree(order[i])
-        if not back[i]:
-            return [(t, 0) for t in reversed(range(n))
-                    if not used[t] and g1.degree(t) == degree]
-        (p, sp), rest = back[i][0], back[i][1:]
-        out = []
-        for t, s in reversed(g1.adjacency[image[p]]):
-            if used[t] or g1.degree(t) != degree:
-                continue
-            f = flip[p] ^ int(s < 0) ^ sp
-            row = neg1[t]
-            if all(image[b] in row and row[image[b]] ^ flip[b] ^ f == sb
-                   for b, sb in rest):
-                out.append((t, f))
-        return out
+        a = order[i]
+        if a in pinned:
+            choices, checks = [pinned[a]], back[i]
+        elif not back[i]:
+            choices, checks = [(t, 0) for t in reversed(range(n))], ()
+        else:
+            (p, sp), checks = back[i][0], back[i][1:]
+            choices = [(t, flip[p] ^ int(s < 0) ^ sp)
+                       for t, s in reversed(g1.adjacency[image[p]])]
+        degree = g2.degree(a)
+        return [(t, f) for t, f in choices
+                if not used[t] and degree1[t] == degree
+                and all(image[b] in sign1[t] and (sign1[t][image[b]] < 0) ^ flip[b] ^ f == sb
+                        for b, sb in checks)]
 
     stack = [candidates(0)]
     while stack:
@@ -183,22 +209,121 @@ def _switching_isomorphisms(g1: SignedGraph, g2: SignedGraph):
         if len(stack) < n:
             stack.append(candidates(len(stack)))
         else:
-            yield tuple(image)
+            yield tuple(image), tuple(flip)
+
+
+class _LiteralOrbits(dict):
+    """Orbits of pointwise literal stabilizers in a target's symmetry group.
+
+    The group is h's switching automorphisms together with the switch of
+    any whole component; (image, flip) acts on the literal 2 t + b as
+    t -> image[t], b -> b ^ flip[t].  An element fixes the literals of a
+    set T of target vertices exactly when it fixes each vertex of T and
+    switches none of them, so its pointwise stabilizer G_T depends on T
+    alone.  The dict maps T, a vertex bitmask, to the bitmask of the least
+    literal of each orbit of G_T, computed when first looked up; it is the
+    full literal mask exactly when G_T is trivial.
+
+    No group is stored, only the orbit partition and the order of G_T per
+    T asked for and per T on its stabilizer chain.  G_T is trivial when
+    |G_{T - a}| is the size of the orbit of the literal 2 a under G_{T - a}
+    for a known T - a, or else when every component meets T and the search
+    pinning T finds one map only.  Otherwise the orbits of G_T come from
+    those of G_{T + u}, for u the least vertex outside T next to T (or the
+    least outside T): they are joined by the switch of each component that
+    misses T and by one automorphism fixing T for each image of the literal
+    2 u that its class has not reached yet.  That is one automorphism per
+    coset of G_{T + u}, and |G_T| is |G_{T + u}| times the size of the
+    class of 2 u.  A literal no such automorphism reaches rules out its
+    whole class, since every class is an orbit of a subgroup of G_T.
+    """
+
+    def __init__(self, h: SignedGraph):
+        super().__init__()
+        self.h = h
+        self.components = connected_components(h)
+        self.least = {}  # T -> least literal of each literal's orbit
+        self.order = {}  # T -> |G_T|
+
+    def __missing__(self, fixed: int) -> int:
+        mask = 0
+        for lit, rep in enumerate(self._orbits(fixed)):
+            if lit == rep:
+                mask |= 1 << lit
+        self[fixed] = mask
+        return mask
+
+    def _trivial(self, fixed: int, pins) -> bool:
+        for a, _, _ in pins:
+            below = self.least.get(fixed ^ 1 << a)
+            if below is not None:  # orbit-stabilizer in G_{T - a}
+                return self.order[fixed ^ 1 << a] == below.count(below[2 * a])
+        if not all(any(fixed >> a & 1 for a in comp) for comp in self.components):
+            return False
+        maps = _switching_isomorphisms(self.h, self.h, pins)
+        next(maps)
+        return next(maps, None) is None
+
+    def _orbits(self, fixed: int) -> tuple[int, ...]:
+        h = self.h
+        chain = []
+        while fixed not in self.least:
+            pins = [(a, a, 0) for a in range(h.n) if fixed >> a & 1]
+            if self._trivial(fixed, pins):
+                self.least[fixed] = tuple(range(2 * h.n))
+                self.order[fixed] = 1
+                break
+            outside = [a for a in range(h.n) if not fixed >> a & 1]
+            u = next((a for a in outside
+                      if any(fixed >> b & 1 for b, _ in h.adjacency[a])), outside[0])
+            chain.append((fixed, pins, u))
+            fixed |= 1 << u
+        least, order = self.least[fixed], self.order[fixed]
+        for fixed, pins, u in reversed(chain):
+            classes = DisjointSet(2 * h.n)
+            for lit, rep in enumerate(least):
+                classes.union(lit, rep)
+            for comp in self.components:
+                if not any(fixed >> a & 1 for a in comp):
+                    for a in comp:
+                        classes.union(2 * a, 2 * a + 1)
+            # u's image must keep its edges to the fixed vertices and signs
+            ties = [(a, s) for a, s in h.adjacency[u] if fixed >> a & 1]
+            settled = [2 * u]  # and then the literals found out of reach
+            for t in (h.neighbors(ties[0][0]) if ties else range(h.n)):
+                if fixed >> t & 1 or h.degree(t) != h.degree(u):
+                    continue
+                for f in (0, 1):
+                    if classes.find(2 * t + f) in {classes.find(x) for x in settled} or any(
+                            not h.has_edge(a, t) or h.sign(a, t) != (-s if f else s)
+                            for a, s in ties):
+                        continue
+                    found = next(_switching_isomorphisms(h, h, pins + [(u, t, f)]), None)
+                    if found is None:
+                        settled.append(2 * t + f)
+                    else:
+                        image, flip = found
+                        for a in range(h.n):
+                            classes.union(2 * a, 2 * image[a] + flip[a])
+                            classes.union(2 * a + 1, 2 * image[a] + 1 - flip[a])
+            least = tuple(classes.find(lit) for lit in range(2 * h.n))
+            order *= least.count(least[2 * u])
+            self.least[fixed], self.order[fixed] = least, order
+        return least
 
 
 def _switching_automorphism_orbits(h: SignedGraph) -> list[int]:
     """One target vertex per orbit of the switching-automorphism group,
     the least of each orbit."""
-    orbits = DisjointSet(h.n)
-    for perm in _switching_isomorphisms(h, h):
-        for u in range(h.n):
-            orbits.union(u, perm[u])
-    return sorted({orbits.find(u) for u in range(h.n)})
+    if not h.n:
+        return []
+    root = _LiteralOrbits(h)[0]
+    return [t for t in range(h.n) if root >> (2 * t) & 1]
 
 
 @lru_cache(maxsize=256)
 def _target_search_data(h: SignedGraph):
-    return _edge_masks(h), _switching_automorphism_orbits(h), is_balanced(h)[0]
+    return _edge_masks(h), _LiteralOrbits(h), is_balanced(h)[0]
 
 
 def find_homomorphism(g: SignedGraph, h: SignedGraph) -> Optional[SignedHomomorphism]:
@@ -230,19 +355,16 @@ def _search_turns(g: SignedGraph, h: SignedGraph):
     if h.n == 0 or (g.m > 0 and h.m == 0):
         yield False
         return
-    allowed, orbit_reps, balanced = _target_search_data(h)
+    allowed, reps, balanced = _target_search_data(h)
     if balanced and not is_balanced(g)[0]:
         yield False
         return
     full = (1 << (2 * h.n)) - 1
-    root_domain = 0
-    for t in orbit_reps:
-        root_domain |= 1 << (2 * t)  # switch bit pinned to 0
     assignment = [0] * g.n
     for comp in connected_components(g):
         root = max(comp, key=lambda v: (g.degree(v), -v))
         order, _ = bfs_order(g, root)  # covers exactly this component
-        sol = yield from _search(g, order, allowed, full, root_domain)
+        sol = yield from _search(g, order, allowed, full, reps)
         if sol is None:
             yield False
             return
@@ -254,7 +376,7 @@ def _search_turns(g: SignedGraph, h: SignedGraph):
     )
 
 
-def _search(g, order, allowed, full, root_domain):
+def _search(g, order, allowed, full, reps):
     """Backtracking with forward checking over literal bitmask domains.
 
     Variables are chosen dynamically, smallest domain first, ties to the
@@ -266,27 +388,38 @@ def _search(g, order, allowed, full, root_domain):
     costs O(degree + 2 h.n) bitmask operations, not O(n).  The buckets
     are updated lazily: only a literal that survives forward checking
     moves its narrowed neighbors between buckets, and backtracking over
-    it moves them back, so a wiped-out literal costs nothing extra.  The
-    search is iterative: ``stack`` holds one [variable, untried literals,
-    undo list of the literal being tried] frame per assigned variable
-    plus the one being tried.  A generator: it yields None after every
-    turn of g.n + 1 nodes and returns the {vertex: literal} map, or None.
+    it moves them back, so a wiped-out literal costs nothing extra.
+
+    A variable tries only ``reps[T]`` of its domain, one literal per orbit
+    of the target symmetries that fix every literal on the path, T being
+    the path's target vertices as a bitmask (``_LiteralOrbits``).  Those
+    symmetries map the domains onto themselves and so the subtree under a
+    literal onto the subtree under its orbit's least literal, which is
+    tried first: the search visits a subset of the nodes of the search
+    without them and finds the same first solution.  Once ``reps[T]`` is
+    the full mask the rest of the path costs nothing extra.
+
+    The search is iterative: ``stack`` holds one [variable, untried
+    literals, undo list of the literal being tried, T above it or None
+    once the symmetries are trivial] frame per assigned variable plus the one
+    being tried.  A generator: it yields None after every turn of g.n + 1
+    nodes and returns the {vertex: literal} map, or None.
     """
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
     nbrs = [[(pos[w], s) for w, s in g.adjacency[v] if w in pos] for v in order]
     domains = [full] * n
-    domains[0] = root_domain
     lits = [-1] * n
     width = full.bit_length()
     bysize = [0] * (width + 1)
     bysize[width] = (1 << n) - 2  # every position but the root
     turn = g.n + 1
-    stack = [[0, root_domain, ()]]
+    root = reps[0]
+    stack = [[0, root, (), 0 if root != full else None]]
     left = turn - 1  # the root node
     while stack:
         frame = stack[-1]
-        i, rest, undo = frame
+        i, rest, undo, fixed = frame
         if lits[i] >= 0:  # the last literal survived: undo its bucket moves
             lits[i] = -1
             for j, old in undo:
@@ -336,7 +469,13 @@ def _search(g, order, allowed, full, root_domain):
             low = bucket & -bucket
             bysize[size] = bucket ^ low
             best = low.bit_length() - 1
-            stack.append([best, domains[best], ()])
+            if fixed is not None:
+                fixed |= 1 << (lit >> 1)
+                below = reps[fixed]
+                if below != full:
+                    stack.append([best, domains[best] & below, (), fixed])
+                    continue
+            stack.append([best, domains[best], (), None])
     return None
 
 

@@ -18,7 +18,11 @@ from sgw.errors import (
     TooLargeError,
 )
 from sgw.factor_ordinary import factorize
-from sgw.homomorphism import ISOMORPHISM_ORDER_CAP, TARGET_ORDER_CAP
+from sgw.homomorphism import (
+    ISOMORPHISM_ORDER_CAP,
+    TARGET_ORDER_CAP,
+    _switching_isomorphisms,
+)
 from sgw.switching import canonical_form, equivalent
 
 
@@ -403,6 +407,76 @@ def permutation_orbits(h: SignedGraph) -> list[int]:
                 lo, hi = min(ru, rp), max(ru, rp)
                 orbit = [lo if o == hi else o for o in orbit]
     return sorted({orbit[u] for u in range(h.n)})
+
+
+def automorphism_walk_orbits(h: SignedGraph) -> list[int]:
+    """Reference for the empty-path case of ``homomorphism._LiteralOrbits``:
+    joins u with its image under every switching automorphism that the
+    unpinned isomorphism search yields, walking the whole group.
+
+    One target vertex per orbit of the switching-automorphism group.
+    """
+    orbit = list(range(h.n))
+    for perm, _ in _switching_isomorphisms(h, h):
+        for u in range(h.n):
+            ru, rp = orbit[u], orbit[perm[u]]
+            if ru != rp:
+                lo, hi = min(ru, rp), max(ru, rp)
+                orbit = [lo if o == hi else o for o in orbit]
+    return sorted(set(orbit))
+
+
+def switching_automorphisms(h: SignedGraph) -> list[tuple[tuple[int, ...], int]]:
+    """Every (permutation, switch set as a bitmask) pair that maps h onto
+    itself, found by trying all h.n! * 2^h.n of them."""
+    found = []
+    for perm in itertools.permutations(range(h.n)):
+        if any(not h.has_edge(perm[u], perm[v]) for u, v, _ in h.edges):
+            continue
+        for flips in range(1 << h.n):
+            if all(h.sign(perm[u], perm[v]) == (-s if (flips >> u ^ flips >> v) & 1 else s)
+                   for u, v, s in h.edges):
+                found.append((perm, flips))
+    return found
+
+
+def stabilizer_reps(h: SignedGraph, automorphisms, fixed: int) -> int:
+    """Reference for ``homomorphism._LiteralOrbits.reps``: the least
+    literal 2 t + b of each orbit of the automorphisms that fix every
+    vertex of the bitmask ``fixed`` and switch none of them."""
+    orbit = list(range(2 * h.n))
+    for perm, flips in automorphisms:
+        if any(fixed >> a & 1 and (perm[a] != a or flips >> a & 1) for a in range(h.n)):
+            continue
+        for lit in range(2 * h.n):
+            t, b = lit >> 1, lit & 1
+            ru, rp = orbit[lit], orbit[2 * perm[t] + (b ^ (flips >> t & 1))]
+            if ru != rp:
+                lo, hi = min(ru, rp), max(ru, rp)
+                orbit = [lo if o == hi else o for o in orbit]
+    return sum(1 << lit for lit in range(2 * h.n) if orbit[lit] == lit)
+
+
+def pairwise_edge_masks(h: SignedGraph) -> dict[int, list[int]]:
+    """Reference for ``homomorphism._edge_masks``: one ``has_edge`` call
+    per ordered pair of target vertices.
+
+    allowed[sigma][lit]: bitmask of neighbor literals compatible with an
+    edge of source sign sigma when this endpoint carries literal lit.
+    """
+    nl = 2 * h.n
+    allowed = {1: [0] * nl, -1: [0] * nl}
+    for tu in range(h.n):
+        for bu in (0, 1):
+            lit = 2 * tu + bu
+            for tv in range(h.n):
+                if tv == tu or not h.has_edge(tu, tv):
+                    continue
+                pi = h.sign(tu, tv)
+                for bv in (0, 1):
+                    eff = -1 if (bu ^ bv) else 1
+                    allowed[pi * eff][lit] |= 1 << (2 * tv + bv)
+    return allowed
 
 
 def backtrack_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import defaultdict
 from itertools import permutations
 
 import pytest
@@ -14,6 +15,8 @@ from sgw.errors import (
 )
 from sgw.homomorphism import (
     SignedHomomorphism,
+    _edge_masks,
+    _LiteralOrbits,
     _search,
     _switching_automorphism_orbits,
     _target_search_data,
@@ -29,13 +32,17 @@ from sgw.product import cartesian_product
 from sgw.switching import equivalent, switch
 
 from oracles import (
+    automorphism_walk_orbits,
     backtrack_isomorphic,
     naive_chromatic_number,
+    pairwise_edge_masks,
     permutation_orbits,
     permutation_targets,
     random_connected_signed_graph,
     random_signature,
     scan_search,
+    stabilizer_reps,
+    switching_automorphisms,
 )
 
 
@@ -65,12 +72,40 @@ def brute_force_hom(g, h):
 def search_calls(g, h):
     """The arguments ``_search_turns`` passes to ``_search``, one tuple per
     component of g (the balance shortcut aside)."""
-    allowed, orbit_reps, _ = _target_search_data(h)
+    allowed, reps, _ = _target_search_data(h)
     full = (1 << (2 * h.n)) - 1
-    root_domain = sum(1 << (2 * t) for t in orbit_reps)
     for comp in connected_components(g):
         root = max(comp, key=lambda v: (g.degree(v), -v))
-        yield g, bfs_order(g, root)[0], allowed, full, root_domain
+        yield g, bfs_order(g, root)[0], allowed, full, reps
+
+
+def unpruned(g, order, allowed, full, reps):
+    """``_search`` arguments for the trivial group: every variable tries
+    its whole domain, the root included."""
+    return g, order, allowed, full, defaultdict(lambda: full)
+
+
+def search_oracle_pairs():
+    """(source, target) pairs of the search oracle tests: small random
+    sources, disconnected ones and cycle products into every target of
+    order <= 4, and signed grids into SPal5*."""
+    rng = random.Random(103)
+    sources = [random_connected_signed_graph(rng, 1, 9) for _ in range(300)]
+    sources += [
+        disjoint_union(random_connected_signed_graph(rng, 1, 4),
+                       random_connected_signed_graph(rng, 1, 5))
+        for _ in range(40)
+    ]
+    sources += [
+        cartesian_product(make(a, p), make(b, q))[0]
+        for a in ("BC", "UC") for p in (3, 4)
+        for b in ("BC", "UC") for q in (3, 4, 5)
+    ]
+    targets = [t for k in (1, 2, 3, 4) for t in enumerate_targets(k)]
+    pairs = [(g, h) for g in sources for h in targets]
+    for side in (5, 8, 13, 17, 20):
+        pairs.append((random_grid(rng, side), make("SPal5_star")))
+    return pairs
 
 
 def drain(search):
@@ -183,28 +218,33 @@ class TestFindHomomorphism:
 
     def test_bucketed_selection_matches_scan_selection(self):
         # same arguments, same yields (turns) and the same literal map as
-        # the reference search that rescans every position per node
-        rng = random.Random(103)
-        sources = [random_connected_signed_graph(rng, 1, 9) for _ in range(300)]
-        sources += [
-            disjoint_union(random_connected_signed_graph(rng, 1, 4),
-                           random_connected_signed_graph(rng, 1, 5))
-            for _ in range(40)
-        ]
-        sources += [
-            cartesian_product(make(a, p), make(b, q))[0]
-            for a in ("BC", "UC") for p in (3, 4)
-            for b in ("BC", "UC") for q in (3, 4, 5)
-        ]
-        targets = [t for k in (1, 2, 3, 4) for t in enumerate_targets(k)]
-        for g in sources:
-            for h in targets:
-                for args in search_calls(g, h):
-                    assert drain(_search(*args)) == drain(scan_search(*args))
-        for side in (5, 8, 13, 17, 20):
-            g = random_grid(rng, side)
-            for args in search_calls(g, make("SPal5_star")):
-                assert drain(_search(*args)) == drain(scan_search(*args))
+        # the reference search that rescans every position per node; both
+        # run with the trivial group, so every domain is tried whole
+        for g, h in search_oracle_pairs():
+            for args in search_calls(g, h):
+                full = args[3]  # the root domain too
+                assert drain(_search(*unpruned(*args))) == drain(
+                    scan_search(*args[:4], full))
+
+    def test_stabilizer_pruning_matches_unpruned_search(self):
+        # the subtree under a literal outside its orbit's least member is a
+        # symmetric copy of one searched before it: the pruned search
+        # decides the same, in no more turns, and finds the same map
+        for g, h in search_oracle_pairs():
+            assignment = {}
+            for args in search_calls(g, h):
+                turns, found = drain(_search(*args))
+                full_turns, full_found = drain(_search(*unpruned(*args)))
+                assert len(turns) <= len(full_turns)
+                assert found == full_found
+                if found is None:
+                    break
+                assignment.update(found)
+            else:
+                phi = SignedHomomorphism(
+                    tuple(assignment[v] >> 1 for v in range(g.n)),
+                    frozenset(v for v in range(g.n) if assignment[v] & 1))
+                assert validate(g, h, phi)
 
 
 class TestEnumerateTargets:
@@ -284,6 +324,59 @@ class TestSwitchingAutomorphismOrbits:
             graphs.append(build(n, random_signature(rng, pairs)))
         for h in graphs:
             assert _switching_automorphism_orbits(h) == permutation_orbits(h)
+
+
+class TestLiteralOrbits:
+    def test_empty_path_is_the_root_domain(self):
+        # one vertex per orbit of the whole group, with switch bit 0
+        for h in [t for k in range(1, 8) for t in enumerate_targets(k)] + [
+                make("SPal5_star")]:
+            root_domain = sum(1 << (2 * t) for t in automorphism_walk_orbits(h))
+            assert _LiteralOrbits(h)[0] == root_domain
+
+    def test_every_fixed_set_matches_brute_force(self):
+        # every subset T of the vertices of the targets of order <= 5 and
+        # of small random graphs, some disconnected (each component of
+        # which can be switched alone)
+        rng = random.Random(131)
+        graphs = [t for k in range(1, 6) for t in enumerate_targets(k)]
+        graphs += [random_connected_signed_graph(rng, 1, 5) for _ in range(12)]
+        graphs += [
+            disjoint_union(random_connected_signed_graph(rng, 1, 2),
+                           random_connected_signed_graph(rng, 1, 3))
+            for _ in range(8)
+        ]
+        graphs += [build(4, [(0, 1, 1), (2, 3, -1)]), build(3, [])]
+        for h in graphs:
+            automorphisms = switching_automorphisms(h)
+            expected = [stabilizer_reps(h, automorphisms, fixed)
+                        for fixed in range(1 << h.n)]
+            # asked upwards, T - a is known before T; asked downwards,
+            # chains start from sets whose supersets are known
+            for sets in (range(1 << h.n), reversed(range(1 << h.n))):
+                orbits = _LiteralOrbits(h)
+                for fixed in sets:
+                    assert orbits[fixed] == expected[fixed]
+
+    def test_orbit_pass_walks_no_group(self):
+        # K9+ has 9! switching automorphisms (twice that with the global
+        # switch); one per coset of each stabilizer is at most 9 + 8 + ...
+        for name in ("K_plus", "K_minus"):
+            h = make(name, 9)
+            assert _switching_automorphism_orbits(h) == [0]
+            orbits = _LiteralOrbits(h)
+            assert orbits[0] == 1
+            # both literals of 0 and 1, and of 2 as the least of the rest
+            assert orbits[0b11] == (1 << 6) - 1
+
+
+class TestEdgeMasks:
+    def test_match_pairwise_loop(self):
+        rng = random.Random(137)
+        path = build(200, [(v, v + 1, rng.choice((1, -1))) for v in range(199)])
+        graphs = [t for k in range(1, 8) for t in enumerate_targets(k)]
+        for h in graphs + [make("SPal5_star"), path]:
+            assert _edge_masks(h) == pairwise_edge_masks(h)
 
 
 class TestChromaticNumber:
