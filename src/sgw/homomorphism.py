@@ -224,18 +224,24 @@ class _LiteralOrbits(dict):
     literal of each orbit of G_T, computed when first looked up; it is the
     full literal mask exactly when G_T is trivial.
 
-    No group is stored, only the orbit partition and the order of G_T per
-    T asked for and per T on its stabilizer chain.  G_T is trivial when
-    |G_{T - a}| is the size of the orbit of the literal 2 a under G_{T - a}
-    for a known T - a, or else when every component meets T and the search
-    pinning T finds one map only.  Otherwise the orbits of G_T come from
-    those of G_{T + u}, for u the least vertex outside T next to T (or the
-    least outside T): they are joined by the switch of each component that
-    misses T and by one automorphism fixing T for each image of the literal
-    2 u that its class has not reached yet.  That is one automorphism per
-    coset of G_{T + u}, and |G_T| is |G_{T + u}| times the size of the
-    class of 2 u.  A literal no such automorphism reaches rules out its
-    whole class, since every class is an orbit of a subgroup of G_T.
+    No group is stored, only the orbit partition per T asked for and per
+    T on its stabilizer chain.  When the search pinning T finds one map
+    only, G_T holds nothing but the switches of the components that miss
+    T, and its orbits are the pairs 2 t, 2 t + 1 of their vertices.
+    Otherwise the orbits of G_T come from those of G_{T + u}: they are
+    joined by the switch of each component that misses T and by one
+    automorphism fixing T for each image of the literal 2 u that its class
+    has not reached yet, which is one automorphism per coset of G_{T + u}.
+    A literal no such automorphism reaches rules out its whole class,
+    since every class is an orbit of a subgroup of G_T.  Any u outside T
+    is sound.  The one taken is the least vertex next to T (or outside T,
+    if none is next to it) that looks like a vertex moved by a map of
+    that search other than the identity, with its degree and its edges to
+    T up to one switch; if none does, it is the least vertex that map
+    moves.  The first keeps
+    the chains of different sets T on shared sets; the second crosses a
+    part that G_T fixes in one step, such as a long path whose far end
+    alone is symmetric or a component that is already pinned.
     """
 
     def __init__(self, h: SignedGraph):
@@ -243,7 +249,6 @@ class _LiteralOrbits(dict):
         self.h = h
         self.components = connected_components(h)
         self.least = {}  # T -> least literal of each literal's orbit
-        self.order = {}  # T -> |G_T|
 
     def __missing__(self, fixed: int) -> int:
         mask = 0
@@ -253,50 +258,60 @@ class _LiteralOrbits(dict):
         self[fixed] = mask
         return mask
 
-    def _trivial(self, fixed: int, pins) -> bool:
-        for a, _, _ in pins:
-            below = self.least.get(fixed ^ 1 << a)
-            if below is not None:  # orbit-stabilizer in G_{T - a}
-                return self.order[fixed ^ 1 << a] == below.count(below[2 * a])
-        if not all(any(fixed >> a & 1 for a in comp) for comp in self.components):
-            return False
-        maps = _switching_isomorphisms(self.h, self.h, pins)
-        next(maps)
-        return next(maps, None) is None
+    def _free(self, fixed: int):
+        """The vertices of the components that miss T."""
+        for comp in self.components:
+            if not any(fixed >> a & 1 for a in comp):
+                yield from comp
+
+    def _look(self, fixed: int, a: int):
+        """What every element of G_T keeps of the vertex a: its degree and
+        its edges to T, their signs up to one switch."""
+        ties = sorted((b, s) for b, s in self.h.adjacency[a] if fixed >> b & 1)
+        return self.h.degree(a), min(tuple(ties), tuple((b, -s) for b, s in ties))
 
     def _orbits(self, fixed: int) -> tuple[int, ...]:
         h = self.h
         chain = []
         while fixed not in self.least:
             pins = [(a, a, 0) for a in range(h.n) if fixed >> a & 1]
-            if self._trivial(fixed, pins):
-                self.least[fixed] = tuple(range(2 * h.n))
-                self.order[fixed] = 1
+            maps = _switching_isomorphisms(h, h, pins)
+            image, _ = next(maps)
+            other = next(maps, None)
+            if other is None:  # G_T only switches the components missing T
+                least = list(range(2 * h.n))
+                for a in self._free(fixed):
+                    least[2 * a + 1] = 2 * a
+                self.least[fixed] = tuple(least)
                 break
+            if image == tuple(range(h.n)):
+                image = other[0]
+            moved = [a for a in range(h.n) if image[a] != a]
+            looks = {self._look(fixed, a) for a in moved}
             outside = [a for a in range(h.n) if not fixed >> a & 1]
-            u = next((a for a in outside
-                      if any(fixed >> b & 1 for b, _ in h.adjacency[a])), outside[0])
+            near = [a for a in outside
+                    if any(fixed >> b & 1 for b, _ in h.adjacency[a])] or outside
+            u = next((a for a in near if self._look(fixed, a) in looks), moved[0])
             chain.append((fixed, pins, u))
             fixed |= 1 << u
-        least, order = self.least[fixed], self.order[fixed]
+        least = self.least[fixed]
         for fixed, pins, u in reversed(chain):
             classes = DisjointSet(2 * h.n)
             for lit, rep in enumerate(least):
                 classes.union(lit, rep)
-            for comp in self.components:
-                if not any(fixed >> a & 1 for a in comp):
-                    for a in comp:
-                        classes.union(2 * a, 2 * a + 1)
-            # u's image must keep its edges to the fixed vertices and signs
-            ties = [(a, s) for a, s in h.adjacency[u] if fixed >> a & 1]
+            for a in self._free(fixed):
+                classes.union(2 * a, 2 * a + 1)
+            # u's image t has u's degree and u's edges to T, their signs
+            # switched by f
+            ties = {a: s for a, s in h.adjacency[u] if fixed >> a & 1}
             settled = [2 * u]  # and then the literals found out of reach
-            for t in (h.neighbors(ties[0][0]) if ties else range(h.n)):
+            for t in (h.neighbors(min(ties)) if ties else range(h.n)):
                 if fixed >> t & 1 or h.degree(t) != h.degree(u):
                     continue
+                signs = {a: s for a, s in h.adjacency[t] if fixed >> a & 1}
                 for f in (0, 1):
-                    if classes.find(2 * t + f) in {classes.find(x) for x in settled} or any(
-                            not h.has_edge(a, t) or h.sign(a, t) != (-s if f else s)
-                            for a, s in ties):
+                    if signs != {a: -s if f else s for a, s in ties.items()} or (
+                            classes.find(2 * t + f) in {classes.find(x) for x in settled}):
                         continue
                     found = next(_switching_isomorphisms(h, h, pins + [(u, t, f)]), None)
                     if found is None:
@@ -307,8 +322,7 @@ class _LiteralOrbits(dict):
                             classes.union(2 * a, 2 * image[a] + flip[a])
                             classes.union(2 * a + 1, 2 * image[a] + 1 - flip[a])
             least = tuple(classes.find(lit) for lit in range(2 * h.n))
-            order *= least.count(least[2 * u])
-            self.least[fixed], self.order[fixed] = least, order
+            self.least[fixed] = least
         return least
 
 

@@ -18,11 +18,7 @@ from sgw.errors import (
     TooLargeError,
 )
 from sgw.factor_ordinary import factorize
-from sgw.homomorphism import (
-    ISOMORPHISM_ORDER_CAP,
-    TARGET_ORDER_CAP,
-    _switching_isomorphisms,
-)
+from sgw.homomorphism import ISOMORPHISM_ORDER_CAP, TARGET_ORDER_CAP
 from sgw.switching import canonical_form, equivalent
 
 
@@ -407,23 +403,6 @@ def permutation_orbits(h: SignedGraph) -> list[int]:
                 lo, hi = min(ru, rp), max(ru, rp)
                 orbit = [lo if o == hi else o for o in orbit]
     return sorted({orbit[u] for u in range(h.n)})
-
-
-def automorphism_walk_orbits(h: SignedGraph) -> list[int]:
-    """Reference for the empty-path case of ``homomorphism._LiteralOrbits``:
-    joins u with its image under every switching automorphism that the
-    unpinned isomorphism search yields, walking the whole group.
-
-    One target vertex per orbit of the switching-automorphism group.
-    """
-    orbit = list(range(h.n))
-    for perm, _ in _switching_isomorphisms(h, h):
-        for u in range(h.n):
-            ru, rp = orbit[u], orbit[perm[u]]
-            if ru != rp:
-                lo, hi = min(ru, rp), max(ru, rp)
-                orbit = [lo if o == hi else o for o in orbit]
-    return sorted(set(orbit))
 
 
 def switching_automorphisms(h: SignedGraph) -> list[tuple[tuple[int, ...], int]]:

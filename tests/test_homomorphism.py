@@ -32,7 +32,6 @@ from sgw.product import cartesian_product
 from sgw.switching import equivalent, switch
 
 from oracles import (
-    automorphism_walk_orbits,
     backtrack_isomorphic,
     naive_chromatic_number,
     pairwise_edge_masks,
@@ -197,13 +196,22 @@ class TestFindHomomorphism:
         random_grid(random.Random(113), 4),
         build(1500, [(v, v + 1, s) for v, s in
                      enumerate(random.Random(127).choices((1, -1), k=1499))]),
-    ], ids=["BC_12", "grid_4x4", "path_1500"])
+        build(1501, [(v, v + 1, 1) for v in range(1499)]),
+        build(1502, [(v, v + 1, 1) for v in range(1499)]),
+        build(1503, [(v, v + 1, 1) for v in range(1499)]
+              + [(1498, 1500, 1), (0, 1501, 1), (0, 1502, 1)]),
+    ], ids=["BC_12", "grid_4x4", "path_1500", "path_1500_K1", "path_1500_2K1",
+            "broom_1503"])
     def test_large_sparse_target(self, target):
         # the target's switching automorphisms come from a search along
-        # its edges, so a large sparse target costs no n! permutation walk
+        # its edges, so a large sparse target costs no n! permutation walk;
+        # where the symmetry left sits away from the fixed vertices (in
+        # another component, or at both ends of a long path), the
+        # stabilizer chain steps there, not along the path one vertex a step
         source = make("K_plus", 2)
         phi = find_homomorphism(source, target)
         assert phi is not None and validate(source, target, phi)
+        assert len(_target_search_data(target)[1].least) <= 8
 
     def test_unbalanced_source_into_balanced_target(self):
         # refuted by balance alone; an exhaustive search ran over a minute
@@ -328,10 +336,11 @@ class TestSwitchingAutomorphismOrbits:
 
 class TestLiteralOrbits:
     def test_empty_path_is_the_root_domain(self):
-        # one vertex per orbit of the whole group, with switch bit 0
+        # one vertex per orbit of the whole group, with switch bit 0 (the
+        # orbit tests tie _switching_automorphism_orbits to a brute force)
         for h in [t for k in range(1, 8) for t in enumerate_targets(k)] + [
                 make("SPal5_star")]:
-            root_domain = sum(1 << (2 * t) for t in automorphism_walk_orbits(h))
+            root_domain = sum(1 << (2 * t) for t in _switching_automorphism_orbits(h))
             assert _LiteralOrbits(h)[0] == root_domain
 
     def test_every_fixed_set_matches_brute_force(self):
@@ -351,8 +360,8 @@ class TestLiteralOrbits:
             automorphisms = switching_automorphisms(h)
             expected = [stabilizer_reps(h, automorphisms, fixed)
                         for fixed in range(1 << h.n)]
-            # asked upwards, T - a is known before T; asked downwards,
-            # chains start from sets whose supersets are known
+            # asked upwards, the first chain starts with nothing known;
+            # asked downwards, chains stop at supersets already known
             for sets in (range(1 << h.n), reversed(range(1 << h.n))):
                 orbits = _LiteralOrbits(h)
                 for fixed in sets:
