@@ -47,7 +47,7 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .factor_ordinary import DisjointSet
-from .switching import is_balanced
+from .switching import _switch_flags, is_balanced
 
 TARGET_ORDER_CAP = 7
 
@@ -540,40 +540,20 @@ def enumerate_targets(k: int) -> tuple[SignedGraph, ...]:
 
 
 def underlying_chromatic_lower_bound(g: SignedGraph) -> int:
-    """Lower bound for chi_s: exact chi of the underlying graph for
-    n <= 20 (ascending k-colorability with backtracking), otherwise a
-    greedy clique size, raised to 3 when the underlying graph is not
-    bipartite."""
+    """Lower bound for chi_s from the underlying graph: a greedy clique
+    size, raised to 3 when the underlying graph is not bipartite.  It is
+    a bound, not the underlying chi: the odd wheel W5 gets 3, not 4."""
     if g.n == 0:
         return 0
     if g.m == 0:
         return 1
     k = _greedy_clique(g)
-    if g.n <= 20:
-        while not _colorable(g, k):
-            k += 1
-        return k
-    if k < 3 and not _bipartite(g):
-        return 3
+    if k < 3:
+        # bipartite exactly when the all-negative signing is balanced
+        all_negative = [[(v, -1) for v, _ in a] for a in g.adjacency]
+        if _switch_flags(g, all_negative)[2] is not None:
+            return 3
     return k
-
-
-def _bipartite(g: SignedGraph) -> bool:
-    """BFS 2-coloring of the underlying graph, one component at a time."""
-    side = [-1] * g.n
-    for root in range(g.n):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        queue = [root]
-        for u in queue:
-            for v, _ in g.adjacency[u]:
-                if side[v] < 0:
-                    side[v] = side[u] ^ 1
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    return False
-    return True
 
 
 def _greedy_clique(g: SignedGraph) -> int:
@@ -587,33 +567,14 @@ def _greedy_clique(g: SignedGraph) -> int:
     return best
 
 
-def _colorable(g: SignedGraph, k: int) -> bool:
-    """Backtracking proper k-coloring, new colors introduced in order."""
-    order = sorted(range(g.n), key=g.degree, reverse=True)
-    color = [-1] * g.n
-
-    def place(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if all(color[w] != c for w in g.neighbors(v)):
-                color[v] = c
-                if place(i + 1, max(used, c + 1)):
-                    return True
-                color[v] = -1
-        return False
-
-    return place(0, 0)
-
-
 def chromatic_number(
     g: SignedGraph, lo: Optional[int] = None, hi: Optional[int] = None
 ) -> ChromaticCertificate:
     """Exact signed chromatic number with a homomorphism certificate.
 
-    Searches target orders ascending from max(lo, underlying chi).  Raises
+    Searches target orders ascending from max(lo, the underlying lower
+    bound); the bound may lie below the underlying chi, and the
+    evidence records every order searched and refuted.  Raises
     BoundExceededError, carrying the best-known interval, when the search
     passes ``hi`` (or the enumeration cap) without finding a target.
     """

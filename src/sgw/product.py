@@ -9,6 +9,8 @@ serialize portably.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,38 +36,29 @@ class CoordinateSystem:
 
 def cartesian_product(a: SignedGraph, b: SignedGraph) -> tuple[SignedGraph, CoordinateSystem]:
     """Signed Cartesian product with row-major vertex numbering."""
-    nb = b.n
-    edges = []
-    for ia in range(a.n):
-        base = ia * nb
-        for u, v, s in b.edges:
-            edges.append((base + u, base + v, s))
-    for u, v, s in a.edges:
-        for ib in range(nb):
-            edges.append((u * nb + ib, v * nb + ib, s))
-    g = SignedGraph(a.n * nb, edges)
-    coords = tuple((ia, ib) for ia in range(a.n) for ib in range(nb))
-    return g, CoordinateSystem((a, b), coords)
+    return product_many([a, b])
 
 
 def product_many(gs: Sequence[SignedGraph]) -> tuple[SignedGraph, CoordinateSystem]:
-    """Left fold of cartesian_product with flattened coordinates."""
+    """Signed Cartesian product of all factors at once, row-major ids.
+
+    With ``stride`` the product of the sizes after factor i, the copies
+    of factor i's edges are u * stride + base for every base whose
+    coordinate i is 0.
+    """
     if not gs:
         raise EmptyListError("need at least one factor")
-    g = gs[0]
-    for h in gs[1:]:
-        g, _ = cartesian_product(g, h)
-    # row-major id over all factors at once
-    coords = []
-    sizes = [f.n for f in gs]
-    for vid in range(g.n):
-        c = []
-        rest = vid
-        for size in reversed(sizes):
-            c.append(rest % size)
-            rest //= size
-        coords.append(tuple(reversed(c)))
-    return g, CoordinateSystem(tuple(gs), tuple(coords))
+    n = math.prod(f.n for f in gs)
+    edges = []
+    stride = n
+    for f in gs if n else ():  # an empty factor leaves no vertex
+        block, stride = stride, stride // f.n
+        bases = [hi + lo for hi in range(0, n, block) for lo in range(stride)]
+        for u, v, s in f.edges:
+            us, vs = u * stride, v * stride
+            edges.extend((base + us, base + vs, s) for base in bases)
+    coords = tuple(itertools.product(*(range(f.n) for f in gs)))
+    return SignedGraph(n, edges), CoordinateSystem(tuple(gs), coords)
 
 
 def layer(cs: CoordinateSystem, i: int, anchor: int):

@@ -3,16 +3,16 @@
 Switching a vertex set X flips the sign of every edge with exactly one
 endpoint in X.  Two signatures of the same underlying graph are equivalent
 when one arises from the other by switching; equivalence is decided in
-O(n+m) by propagating switch flags over a spanning forest.
+O(n+m) by propagating switch flags over a spanning forest, the one pass
+that balance and the canonical form read too.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import Iterable, Optional
 
-from .core import SignedGraph, bfs_order, connected_components
+from .core import SignedGraph, is_connected
 from .errors import DifferentUnderlyingGraphError, NotACycleError
 
 SwitchSet = frozenset  # vertex subset of the host graph
@@ -37,31 +37,52 @@ def switch(g: SignedGraph, x: Iterable[int]) -> SignedGraph:
     )
 
 
+def _switch_flags(g: SignedGraph, adjacency=None):
+    """Switch flags pushed over a BFS spanning forest of ``g``.
+
+    Each component is rooted at its least vertex, unflagged; neighbors
+    are visited ascending, and a tree edge uv flags v when exactly one of
+    "u is flagged" and "uv is negative" holds, so switching the flagged
+    set X makes every tree edge positive.  ``adjacency`` stands in for
+    ``g.adjacency``: the same neighbors under other signs.  Returns X,
+    the BFS parents (-1 at a root) and the first non-tree edge (u, v)
+    that X leaves negative, None when the signing is balanced.
+    """
+    adjacency = g.adjacency if adjacency is None else adjacency
+    flag = [None] * g.n
+    parent = [-1] * g.n
+    bad = None
+    for root in range(g.n):
+        if flag[root] is not None:
+            continue
+        flag[root] = False
+        queue = [root]
+        for u in queue:
+            fu = flag[u]
+            for v, s in adjacency[u]:
+                fv = flag[v]
+                if fv is None:
+                    flag[v] = fu != (s < 0)
+                    parent[v] = u
+                    queue.append(v)
+                elif bad is None and (fu != fv) != (s < 0):
+                    bad = (u, v)
+    return frozenset(v for v in range(g.n) if flag[v]), parent, bad
+
+
 def is_balanced(g: SignedGraph):
     """Decide balance by BFS potential assignment per component.
 
     Returns ``(True, X)`` with ``switch(g, X)`` all-positive, or
     ``(False, cycle)`` where ``cycle`` is a closed walk of sign -1.
     """
-    pot = [None] * g.n
-    parent = [-1] * g.n
-    for comp in connected_components(g):
-        root = comp[0]
-        pot[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, s in g.adjacency[u]:
-                want = pot[u] * s
-                if pot[v] is None:
-                    pot[v] = want
-                    parent[v] = u
-                    queue.append(v)
-                elif pot[v] != want:
-                    # unbalanced: close a walk through the BFS tree;
-                    # its sign is pot[u] * pot[v] * s = -1
-                    return False, _tree_walk(parent, u) + _tree_walk(parent, v)[::-1][1:] + [u]
-    return True, frozenset(v for v in range(g.n) if pot[v] == -1)
+    x, parent, bad = _switch_flags(g)
+    if bad is None:
+        return True, x
+    # close a walk through the BFS tree: X makes its tree edges positive
+    # and leaves uv negative, so its sign is -1
+    u, v = bad
+    return False, _tree_walk(parent, u) + _tree_walk(parent, v)[::-1][1:] + [u]
 
 
 def _tree_walk(parent: list[int], u: int) -> list[int]:
@@ -75,26 +96,18 @@ def _tree_walk(parent: list[int], u: int) -> list[int]:
 def equivalent(g1: SignedGraph, g2: SignedGraph) -> Optional[frozenset]:
     """Switch set taking g1 to g2 edge-for-edge, or None.
 
-    Spanning-forest flag propagation: flag(v) xor flag(u) must equal
-    "signs of uv differ", verified on non-tree edges.
+    Those are the switch sets that balance the signing s1 * s2, which is
+    negative where the two signs differ.
     """
     if g1.n != g2.n or g1.underlying_edges() != g2.underlying_edges():
         raise DifferentUnderlyingGraphError("inputs must share an underlying graph")
-    flag = [None] * g1.n
-    for comp in connected_components(g1):
-        root = comp[0]
-        flag[root] = False
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, s in g1.adjacency[u]:
-                diff = s != g2.sign(u, v)
-                if flag[v] is None:
-                    flag[v] = flag[u] != diff
-                    queue.append(v)
-                elif (flag[u] != flag[v]) != diff:
-                    return None
-    return frozenset(v for v in range(g1.n) if flag[v])
+    # equal underlying graphs list the same neighbors in the same order
+    product = [
+        [(v, s * t) for (v, s), (_, t) in zip(a1, a2)]
+        for a1, a2 in zip(g1.adjacency, g2.adjacency)
+    ]
+    x, _, bad = _switch_flags(g1, product)
+    return x if bad is None else None
 
 
 def canonical_form(g: SignedGraph) -> tuple[SignedGraph, frozenset]:
@@ -104,20 +117,7 @@ def canonical_form(g: SignedGraph) -> tuple[SignedGraph, frozenset]:
     switch so every BFS-tree edge becomes positive.  The result depends
     only on the switching class; the returned set realizes it.
     """
-    flag = [False] * g.n
-    for comp in connected_components(g):
-        root = min(comp)
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, s in g.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    eff = -s if flag[u] else s
-                    flag[v] = eff == -1
-                    queue.append(v)
-    x = frozenset(v for v in range(g.n) if flag[v])
+    x = _switch_flags(g)[0]
     return switch(g, x), x
 
 
@@ -125,8 +125,7 @@ def classify_cycle(g: SignedGraph) -> CycleClass:
     """Class of a single signed cycle by (length parity, negative parity)."""
     if g.n < 3 or g.m != g.n or any(g.degree(v) != 2 for v in range(g.n)):
         raise NotACycleError("input is not a single cycle")
-    order, dist = bfs_order(g, 0)
-    if len(order) != g.n:
+    if not is_connected(g):
         raise NotACycleError("input is not connected")
     neg = len(g.negative_edges())
     if neg % 2 == 0:

@@ -136,8 +136,7 @@ def _checked_chi(g: SignedGraph, expected: int) -> tuple[int, bool]:
     # the lower-bound evidence must cover every smaller order
     exhausted = cert.lower_bound_evidence["exhausted_orders"]
     base = cert.lower_bound_evidence["underlying_chromatic"]
-    covered = all(k in exhausted or k < base or k < 1
-                  for k in range(1, cert.k))
+    covered = all(k in exhausted or k < base for k in range(1, cert.k))
     return cert.k, covered and cert.k == expected
 
 

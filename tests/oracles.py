@@ -8,18 +8,22 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from itertools import combinations
 
-from sgw.core import SignedGraph, is_connected
+from sgw.core import SignedGraph, connected_components, is_connected
 from sgw.errors import (
+    DifferentUnderlyingGraphError,
     DisconnectedError,
+    EmptyListError,
     NoEdgesError,
     OrderTooLargeError,
     TooLargeError,
 )
 from sgw.factor_ordinary import factorize
 from sgw.homomorphism import ISOMORPHISM_ORDER_CAP, TARGET_ORDER_CAP
-from sgw.switching import canonical_form, equivalent
+from sgw.product import CoordinateSystem
+from sgw.switching import canonical_form, equivalent, switch
 
 
 def random_signature(rng: random.Random, edges):
@@ -588,3 +592,149 @@ def _layer_graph(g, verts, od, a_side) -> SignedGraph:
             if w in pos and u < w and od.edge_color[(u, w)] in a_set:
                 edges.append((pos[u], pos[w], s))
     return SignedGraph(len(verts), edges)
+
+
+# -- one BFS per switching function and the pairwise product fold -------
+#
+# References for ``switching._switch_flags`` and ``product.product_many``:
+# the separate breadth-first searches that balance, equivalence, the
+# canonical form and the bipartite test each ran, and the product built
+# as a left fold of two-factor products.  Bodies are kept as they were.
+
+
+def bfs_is_balanced(g: SignedGraph):
+    """Decide balance by BFS potential assignment per component.
+
+    Returns ``(True, X)`` with ``switch(g, X)`` all-positive, or
+    ``(False, cycle)`` where ``cycle`` is a closed walk of sign -1.
+    """
+    pot = [None] * g.n
+    parent = [-1] * g.n
+    for comp in connected_components(g):
+        root = comp[0]
+        pot[root] = 1
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, s in g.adjacency[u]:
+                want = pot[u] * s
+                if pot[v] is None:
+                    pot[v] = want
+                    parent[v] = u
+                    queue.append(v)
+                elif pot[v] != want:
+                    # unbalanced: close a walk through the BFS tree;
+                    # its sign is pot[u] * pot[v] * s = -1
+                    return False, _tree_walk(parent, u) + _tree_walk(parent, v)[::-1][1:] + [u]
+    return True, frozenset(v for v in range(g.n) if pot[v] == -1)
+
+
+def _tree_walk(parent: list[int], u: int) -> list[int]:
+    """Path u, parent(u), ..., root in the BFS forest."""
+    path = [u]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    return path
+
+
+def bfs_equivalent(g1: SignedGraph, g2: SignedGraph):
+    """Switch set taking g1 to g2 edge-for-edge, or None.
+
+    Spanning-forest flag propagation: flag(v) xor flag(u) must equal
+    "signs of uv differ", verified on non-tree edges.
+    """
+    if g1.n != g2.n or g1.underlying_edges() != g2.underlying_edges():
+        raise DifferentUnderlyingGraphError("inputs must share an underlying graph")
+    flag = [None] * g1.n
+    for comp in connected_components(g1):
+        root = comp[0]
+        flag[root] = False
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, s in g1.adjacency[u]:
+                diff = s != g2.sign(u, v)
+                if flag[v] is None:
+                    flag[v] = flag[u] != diff
+                    queue.append(v)
+                elif (flag[u] != flag[v]) != diff:
+                    return None
+    return frozenset(v for v in range(g1.n) if flag[v])
+
+
+def bfs_canonical_form(g: SignedGraph):
+    """Deterministic representative of the switching class of ``g``.
+
+    Per component: BFS from the smallest vertex id, neighbors ascending,
+    switch so every BFS-tree edge becomes positive.  The result depends
+    only on the switching class; the returned set realizes it.
+    """
+    flag = [False] * g.n
+    for comp in connected_components(g):
+        root = min(comp)
+        seen = {root}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, s in g.adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    eff = -s if flag[u] else s
+                    flag[v] = eff == -1
+                    queue.append(v)
+    x = frozenset(v for v in range(g.n) if flag[v])
+    return switch(g, x), x
+
+
+def bfs_bipartite(g: SignedGraph) -> bool:
+    """BFS 2-coloring of the underlying graph, one component at a time."""
+    side = [-1] * g.n
+    for root in range(g.n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        queue = [root]
+        for u in queue:
+            for v, _ in g.adjacency[u]:
+                if side[v] < 0:
+                    side[v] = side[u] ^ 1
+                    queue.append(v)
+                elif side[v] == side[u]:
+                    return False
+    return True
+
+
+def pairwise_cartesian_product(a: SignedGraph, b: SignedGraph):
+    """Signed Cartesian product with row-major vertex numbering."""
+    nb = b.n
+    edges = []
+    for ia in range(a.n):
+        base = ia * nb
+        for u, v, s in b.edges:
+            edges.append((base + u, base + v, s))
+    for u, v, s in a.edges:
+        for ib in range(nb):
+            edges.append((u * nb + ib, v * nb + ib, s))
+    g = SignedGraph(a.n * nb, edges)
+    coords = tuple((ia, ib) for ia in range(a.n) for ib in range(nb))
+    return g, CoordinateSystem((a, b), coords)
+
+
+def fold_product_many(gs):
+    """Left fold of pairwise_cartesian_product with flattened coordinates."""
+    if not gs:
+        raise EmptyListError("need at least one factor")
+    g = gs[0]
+    for h in gs[1:]:
+        g, _ = pairwise_cartesian_product(g, h)
+    # row-major id over all factors at once
+    coords = []
+    sizes = [f.n for f in gs]
+    for vid in range(g.n):
+        c = []
+        rest = vid
+        for size in reversed(sizes):
+            c.append(rest % size)
+            rest //= size
+        coords.append(tuple(reversed(c)))
+    return g, CoordinateSystem(tuple(gs), tuple(coords))

@@ -447,15 +447,30 @@ class TestChromaticNumber:
         assert underlying_chromatic_lower_bound(make("K_plus", 5)) == 5
         assert underlying_chromatic_lower_bound(make("BC", 5)) == 3
         assert underlying_chromatic_lower_bound(build(3, [])) == 1
+        # a bound, not the underlying chi: the odd wheel has clique 3, chi 4
+        assert underlying_chromatic_lower_bound(_odd_wheel()) == 3
+
+    def test_odd_wheel_refutes_the_order_below(self):
+        w5 = _odd_wheel()
+        cert = chromatic_number(w5)
+        assert cert.k == 4 == naive_chromatic_number(w5)
+        assert validate(w5, cert.target, cert.hom)
+        assert cert.lower_bound_evidence["exhausted_orders"] == {3: 2}
 
     def test_underlying_lower_bound_sees_odd_cycles_past_20(self):
-        # n > 20: the greedy clique gives 2 on all three; only the ones
-        # with an odd cycle are lifted to 3
+        # the greedy clique gives 2 on all three; only the ones with an
+        # odd cycle are lifted to 3
         uc6_uc5, _ = cartesian_product(make("UC", 6), make("UC", 5))
         assert uc6_uc5.n == 30
         assert underlying_chromatic_lower_bound(uc6_uc5) == 3
         assert underlying_chromatic_lower_bound(make("BC", 22)) == 2
         assert underlying_chromatic_lower_bound(make("UC", 23)) == 3
+
+
+def _odd_wheel():
+    """W5: a hub joined to every vertex of a positive 5-cycle."""
+    rim = [(v, v % 5 + 1, 1) for v in range(1, 6)]
+    return build(6, rim + [(0, v, 1) for v in range(1, 6)])
 
 
 class TestSignedIsomorphic:
