@@ -1,28 +1,59 @@
 """Prime s-decomposition of a connected signed graph.
 
-The decomposition runs on top of the ordinary prime factorization: edges
-start out colored by ordinary factor, a BFS from the all-zero base vertex
-visits every edge once, compares its sign with the sign of its projection
-onto the base layer of its current (merged) color, and either switches the
-far endpoint, accepts it, or merges the colors of all up-edges at that
-endpoint.  The surviving colors are the s-prime factors; their signatures
-are read off the base layers, and the recorded switch set realizes a
-signature equivalent to the input for which the product of the factors is
-an exact edge-for-edge reconstruction.
+The decomposition runs on top of the ordinary prime factorization, one
+color per ordinary factor, and rests on one rule: colors i != j join when
+some square spanned by an i-edge and a j-edge is negative.  The classes
+of the joined colors are the s-prime factors.  Each factor is the input's
+own layer of its class through vertex 0, signs included; the switch set
+balances the input's signs times those of the product of the factors,
+so switching the input by it gives that product edge for edge.
 
-S-primality is read from the same merge pass.  The prime s-decomposition
-is unique, so a graph is s-prime exactly when the pass leaves one color;
-``is_s_prime`` stops there and builds no factors.
+Each square is read once, at its corner x of least mixed-radix rank over
+the ordinary coordinates: x's neighbors y, z of higher rank and different
+colors span it, and its fourth corner has rank y + z - x.
+
+Why the rule is sound.  Call a square mixed when its two edge colors lie
+in different classes.
+
+1. The joins never cross a factor of any s-decomposition.  If a switching
+   of the input is a product of factors that group the ordinary colors,
+   every square spanned by edges of two different factors is positive in
+   that product, and switching keeps the sign of every cycle.
+2. Base-layer cycles and mixed squares span the cycle space.  Order the
+   classes 1..r and take the comb-shaped spanning tree that reaches a
+   vertex from vertex 0 by moving coordinate 1 along a spanning tree of
+   its layer, then coordinate 2, and so on.  The fundamental cycle of a
+   non-tree edge of class c runs through a ladder of mixed squares,
+   spanned by the edge's copies and the tree path in the classes after
+   c, down to a cycle inside one class-c layer.  A cycle in a class-c
+   layer in turn equals its copy in the base layer through vertex 0 plus
+   the mixed squares of another ladder.
+3. So the ratio of the input's signs to the product's is balanced: both
+   agree on the base layers, which are the factors, and both are positive
+   on mixed squares, the product's as a product and the input's because
+   a negative one would have joined its colors.  An unbalanced ratio is a
+   bug.
+4. Each factor is s-prime.  A split of a class into two groups a and b
+   that made its factor a product would, by point 1, leave every base
+   layer square spanned by an a-edge and a b-edge positive.  By the ladder
+   of point 2 every such square of the input has the sign of its base
+   layer copy, so no join would cross the split, yet the class is joined.
+
+S-primality reads the same joins: a graph is s-prime exactly when they
+leave one class, and ``is_s_prime`` stops there and builds no factors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .core import SignedGraph, bfs_order
-from .factor_ordinary import DisjointSet, factorize
+from .core import SignedGraph
+from .errors import InternalInvariantViolation
+from .factor_ordinary import factorize
 from .product import CoordinateSystem
+from .switching import _switch_flags
+
 
 @dataclass(frozen=True)
 class SDecomposition:
@@ -32,29 +63,15 @@ class SDecomposition:
     factor_of_edge: dict  # (u, v) with u < v -> final merged color index
 
 
-def s_decompose(g: SignedGraph, debug_trace: Optional[list] = None) -> SDecomposition:
-    """Prime s-decomposition of a connected signed graph with >= 1 edge.
-
-    ``debug_trace``, if given, collects (event, data) tuples mirroring the
-    bookkeeping of the decomposition (including the Done set, which plays
-    no role in the computation itself).
-    """
+def s_decompose(g: SignedGraph) -> SDecomposition:
+    """Prime s-decomposition of a connected signed graph with >= 1 edge."""
     od = factorize(g)
-    k = len(od.factors)
     ocoords = od.coords.coords
-    merger, switched = _merge_colors(g, od, debug_trace)
-
-    # assemble final factors from merged colors, base layers through vertex 0
-    classes = []
-    seen_roots = {}
-    for j in range(k):
-        r = merger.find(j)
-        if r not in seen_roots:
-            seen_roots[r] = len(classes)
-            classes.append([])
-        classes[seen_roots[r]].append(j)
-
     osizes = [f.n for f in od.factors]
+    root = _joined_colors(g, od)
+    roots = sorted(set(root))
+    classes = [[j for j, r in enumerate(root) if r == c] for c in roots]
+    class_of = [roots.index(r) for r in root]
 
     def merged_coord(u: int, members: list[int]) -> int:
         # mixed-radix index over the ordinary coordinates in the class
@@ -63,108 +80,82 @@ def s_decompose(g: SignedGraph, debug_trace: Optional[list] = None) -> SDecompos
             idx = idx * osizes[j] + ocoords[u][j]
         return idx
 
-    factors = []
-    for members in classes:
-        size = 1
-        for j in members:
-            size *= osizes[j]
-        layer = [u for u in range(g.n)
-                 if all(ocoords[u][j] == 0 for j in range(k) if j not in members)]
-        fedges = []
-        lset = set(layer)
-        for u in layer:
-            for w, s in g.adjacency[u]:
-                if u < w and w in lset:
-                    if switched[u] != switched[w]:
-                        s = -s
-                    fedges.append((merged_coord(u, members), merged_coord(w, members), s))
-        factors.append(SignedGraph(size, fedges))
-
     coords = tuple(
         tuple(merged_coord(u, members) for members in classes) for u in range(g.n)
     )
-    factor_of_edge = {
-        (u, v): seen_roots[merger.find(od.edge_color[(u, v)])] for u, v, _ in g.edges
-    }
+    factor_of_edge = {(u, v): class_of[od.edge_color[(u, v)]] for u, v, _ in g.edges}
+
+    # factor c: the input's class-c edges whose other coordinates are 0
+    fedges = [[] for _ in classes]
+    for u, v, s in g.edges:
+        c = factor_of_edge[(u, v)]
+        cu = coords[u]
+        if sum(cu) == cu[c]:
+            fedges[c].append((cu[c], coords[v][c], s))
+    factors = tuple(
+        SignedGraph(math.prod(osizes[j] for j in members), edges)
+        for members, edges in zip(classes, fedges)
+    )
+
+    # the input's signs times the product's, in the input's adjacency order
+    ratio = {}
+    for u, v, s in g.edges:
+        c = factor_of_edge[(u, v)]
+        ratio[(u, v)] = ratio[(v, u)] = s * factors[c].sign(coords[u][c], coords[v][c])
+    x, _, bad = _switch_flags(
+        g, [[(v, ratio[(u, v)]) for v, _ in adj] for u, adj in enumerate(g.adjacency)]
+    )
+    if bad is not None:
+        raise InternalInvariantViolation("the s-factors' product is no switching of the input")
     return SDecomposition(
-        factors=tuple(factors),
-        coords=CoordinateSystem(tuple(factors), coords),
-        switch_set=frozenset(v for v in range(g.n) if switched[v]),
+        factors=factors,
+        coords=CoordinateSystem(factors, coords),
+        switch_set=x,
         factor_of_edge=factor_of_edge,
     )
 
 
 def is_s_prime(g: SignedGraph) -> bool:
     """True iff the connected signed graph ``g`` (with >= 1 edge) is s-prime:
-    the merge pass of ``s_decompose`` joins all its ordinary colors."""
-    od = factorize(g)
-    k = len(od.factors)
-    if k == 1:
-        return True
-    merger, _ = _merge_colors(g, od, None)
-    return all(merger.find(j) == 0 for j in range(k))
+    negative squares join all its ordinary colors into one."""
+    return set(_joined_colors(g, factorize(g))) == {0}
 
 
-def _merge_colors(g: SignedGraph, od, debug_trace: Optional[list]):
-    """The BFS merge pass over the ordinary colors of ``od``.
+def _joined_colors(g: SignedGraph, od) -> list[int]:
+    """Least color of each ordinary color's class under the joins.
 
-    Returns the color merger and the per-vertex switched flags.  A vertex
-    is switched at most once, before it joins S, so an edge's current
-    sign is its input sign times -1 when exactly one end is switched.
+    Colors i != j join when a square spanned by an i-edge and a j-edge is
+    negative.  Vertices are handled by the mixed-radix rank of their
+    ordinary coordinates; each square is read at its least corner x, from
+    x's neighbors y and z of higher rank, and its fourth corner is y + z - x.
     """
     k = len(od.factors)
-    ocoords = od.coords.coords
-    oindex = od.coords.index
-    order, dist = bfs_order(g, 0)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-
-    merger = DisjointSet(k)
-    members = {j: [j] for j in range(k)}  # per class root, ascending
-
-    def project_edge(x: int, y: int, cls: list[int]) -> tuple[int, int]:
-        # zero out every ordinary coordinate outside the merged color
-        cx = [0] * k
-        cy = [0] * k
-        for j in cls:
-            cx[j] = ocoords[x][j]
-            cy[j] = ocoords[y][j]
-        return oindex[tuple(cx)], oindex[tuple(cy)]
-
-    in_s = [False] * g.n
-    switched = [False] * g.n
-
-    for x in order:
-        in_s[x] = True
-        for y, s in g.adjacency[x]:
-            if pos[y] < pos[x]:  # handled from y
-                continue
-            i = merger.find(od.edge_color[(min(x, y), max(x, y))])
-            xp, yp = project_edge(x, y, members[i])
-            flips = switched[x] ^ switched[y] ^ switched[xp] ^ switched[yp]
-            same = (s == g.sign(xp, yp)) != flips
-            if not same and not in_s[y]:
-                switched[y] = True
-                in_s[y] = True
-                if debug_trace is not None:
-                    debug_trace.append(("switch", y))
-            elif same and not in_s[y]:
-                in_s[y] = True
-            elif not same and in_s[y]:
-                merged = [i]
-                for z, _ in g.adjacency[y]:
-                    if dist[z] < dist[y]:
-                        merged.append(merger.find(od.edge_color[(min(y, z), max(y, z))]))
-                joined = False
-                for c in merged[1:]:
-                    joined |= merger.union(merged[0], c)
-                if joined:
-                    members = {}
-                    for j in range(k):
-                        members.setdefault(merger.find(j), []).append(j)
-                if debug_trace is not None:
-                    debug_trace.append(("merge", y, tuple(sorted(set(merged)))))
-        if debug_trace is not None:
-            debug_trace.append(("done", x))
-    return merger, switched
+    root = list(range(k))
+    if k == 1:
+        return root
+    rank = [0] * g.n
+    for u, c in enumerate(od.coords.coords):
+        for f, cj in zip(od.factors, c):
+            rank[u] = rank[u] * f.n + cj
+    at = [0] * g.n  # vertex of each rank
+    for u, r in enumerate(rank):
+        at[r] = u
+    sign = [dict(adj) for adj in g.adjacency]  # per vertex: neighbor -> sign
+    joins_left = k - 1
+    for x, u in enumerate(at):
+        above = [(rank[v], v, od.edge_color[(u, v) if u < v else (v, u)], s)
+                 for v, s in g.adjacency[u] if rank[v] > x]
+        for a, (y, vy, i, s_xy) in enumerate(above):
+            for z, vz, j, s_xz in above[a + 1:]:
+                if root[i] == root[j]:
+                    continue
+                w = at[y + z - x]
+                if s_xy * s_xz * sign[vy][w] * sign[vz][w] < 0:
+                    # at most log2(n) colors: relabel the whole list, so
+                    # the test per square stays two list reads
+                    lo, hi = sorted((root[i], root[j]))
+                    root = [lo if r == hi else r for r in root]
+                    joins_left -= 1
+                    if not joins_left:
+                        return root
+    return root

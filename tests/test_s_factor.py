@@ -10,10 +10,11 @@ from sgw.factor_ordinary import factorize
 from sgw.homomorphism import signed_isomorphic
 from sgw.product import product_many
 from sgw.s_factor import is_s_prime, s_decompose
-from sgw.switching import switch
+from sgw.switching import equivalent, switch
 
 from oracles import (
     lemma_is_s_prime,
+    merge_pass_s_decompose,
     random_connected_signed_graph,
     random_signature,
     reconstruct_product,
@@ -96,12 +97,6 @@ class TestSDecompose:
             ):
                 assert signed_isomorphic(f, b)
 
-    def test_debug_trace_records_done_events(self):
-        trace = []
-        s_decompose(make("BC", 4), debug_trace=trace)
-        done = [v for ev, *rest in trace if ev == "done" for v in rest]
-        assert sorted(done) == [0, 1, 2, 3]
-
     def test_errors(self):
         with pytest.raises(NoEdgesError):
             s_decompose(build(2, []))
@@ -139,3 +134,54 @@ class TestSPrimality:
         flipped = flip_one(random.Random(43), q10)
         assert is_s_prime(flipped)
         assert len(s_decompose(flipped).factors) == 1
+
+
+def _base_layer(g, coords, c):
+    """The input's layer of factor c through vertex 0, numbered by the
+    c-th coordinate, with the input's signs."""
+    layer = {u for u in range(g.n)
+             if all(x == 0 for d, x in enumerate(coords[u]) if d != c)}
+    return [(coords[u][c], coords[v][c], s) for u, v, s in g.edges
+            if u in layer and v in layer]
+
+
+class TestNegativeSquares:
+    def test_matches_the_merge_pass(self):
+        rng = random.Random(1200)
+        graphs = [random_connected_signed_graph(rng, 2, 9) for _ in range(300)]
+        for _ in range(200):
+            parts = [random_connected_signed_graph(rng, 2, 4) for _ in range(rng.randint(2, 3))]
+            g, _ = product_many(parts)
+            g = switch(g, [v for v in range(g.n) if rng.random() < 0.5])
+            signs = SignedGraph(g.n, random_signature(rng, g.underlying_edges()))
+            graphs += [g, flip_one(rng, g), signs]
+        assert len(graphs) >= 900
+        for g in graphs:
+            dec, old = s_decompose(g), merge_pass_s_decompose(g)
+            assert dec.coords.coords == old.coords.coords
+            assert dec.factor_of_edge == old.factor_of_edge
+            assert len(dec.factors) == len(old.factors)
+            assert is_s_prime(g) == (len(old.factors) == 1)
+            for f, f_old in zip(dec.factors, old.factors):
+                assert equivalent(f, f_old) is not None
+            rebuilt = reconstruct_product(dec.factors, dec.coords.coords)
+            assert rebuilt == switch(g, dec.switch_set)
+
+    def test_a_join_stays_local(self):
+        rng = random.Random(1201)
+        g, cs = product_many([make("UC", 5), make("BC", 7), make("UC", 3)])
+        # the copies of UC5's edge 01 at BC7 coordinate 0, one per UC3 vertex
+        flipped = {(cs.vertex((0, 0, c)), cs.vertex((1, 0, c))) for c in range(3)}
+        g = SignedGraph(g.n, [(u, v, -s if (u, v) in flipped else s) for u, v, s in g.edges])
+        g = switch(g, [v for v in range(g.n) if rng.random() < 0.5])
+        dec = s_decompose(g)
+        # the flips make the UC5-BC7 squares at them negative, but each
+        # UC5-UC3 square holds two flipped edges or none
+        assert sorted(f.n for f in dec.factors) == [3, 35]
+        assert not is_s_prime(g)
+        coords = dec.coords.coords
+        for c, f in enumerate(dec.factors):
+            assert f == SignedGraph(f.n, _base_layer(g, coords, c))
+        # so the switch set leaves every base-layer vertex unswitched
+        on_base = [u for u, cu in enumerate(coords) if sum(x > 0 for x in cu) <= 1]
+        assert dec.switch_set.isdisjoint(on_base)
