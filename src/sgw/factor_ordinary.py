@@ -1,12 +1,10 @@
 """Prime factorization of a connected ordinary graph with coordinates.
 
 Signs are ignored here; the factors come back as all-positive SignedGraph
-values.  The approach is edge-color refinement: a union-find over edges is
-seeded with the local square rules (adjacent edges lying in no unique
-chordless square, or in a triangle or chorded square, get the same color;
-opposite edges of chordless squares get the same color, joined once per
-square at its least corner).  Then a coordinate system is extracted and
-verified by exact reconstruction.
+values.  The approach is edge-color refinement: a union-find over edges
+is joined in up to three passes, and after each one a coordinate system
+is extracted and verified by exact reconstruction.  The first coloring
+that passes is returned.
 
 Coordinates: for each color c, the base layer is the c-colored component
 of vertex 0, and a vertex's c-th coordinate is the index of its nearest
@@ -19,24 +17,49 @@ different labels, and every vertex reached through it is tied too.  Any
 tie rejects the coloring.  With k <= log2(n) colors this costs
 O(k * (n + m)).
 
-The seed coloring is usually the prime one, but the square rules see
-only squares: in M x K2, M a Mobius ladder, they keep M's rungs apart from
-its rim, and the coloring is no product coloring.  Then the
-Djokovic-Winkler relation theta is joined in and the coloring is
-coordinatized once more.  By Feder ("Product graph representations",
-J. Graph Theory 16, 1992) the product relation sigma is the closure of
-theta and tau, where tau joins adjacent edges on no common chordless
-square, and theta need only relate each edge to the edges of one spanning
-tree.  The seeds contain tau and lie inside sigma, so the second coloring
-is sigma and must coordinatize.  A graph of prime order is prime, as
-factor orders multiply to n, so it gets a single color without seeding.
+The passes.  Every join of every pass is inside the product relation
+sigma: two opposite edges of a 4-cycle (theta-related when the cycle is
+chordless, on two triangles when it has a chord), two edges of a
+triangle, two adjacent edges on no common chordless square (tau), or
+two adjacent edges on two squares.  So every coloring is at least as
+fine as sigma.  Every product coloring is at least as coarse as sigma,
+the relation of the prime factorization (Feder, "Product graph
+representations", J. Graph Theory 16, 1992), so the first coloring that
+coordinatizes is sigma's.
+
+1. From the root.  Edges 0y and 0z are joined unless y and z are not
+   adjacent and have one common neighbour besides 0, the fourth corner
+   of the one 4-cycle through them.  Every other edge uw is taken at
+   each end u with d(w) >= d(u), d the distance from 0, and joined to
+   an edge nearer to 0: with p the least neighbour of u one level down,
+   to px when N(p) & N(w) = {u, x}, the opposite edge of the one
+   4-cycle u p x w, and to up otherwise, as up and uw then lie on no
+   4-cycle or on two.  So every edge chains down to an edge at 0, and
+   the coloring is sigma when the classes at 0 are sigma's: in a
+   product, when the rule at 0 joins the edges of each factor there, as
+   it does for cycles, complete graphs and K2.  One set intersection
+   per edge end, O(m * max degree).
+2. All corners.  At every vertex, adjacent edges lying in no unique
+   chordless square, or in a triangle or chorded square, are joined, and
+   opposite edges of each chordless square are joined once, at its least
+   corner.  O(sum of deg^2 * max degree).
+3. Theta.  The square rules see only squares: in M x K2, M a Mobius
+   ladder, they keep M's rungs apart from its rim.  Pass 3 joins in the
+   Djokovic-Winkler relation theta.  Sigma is the closure of theta and
+   tau, and theta need only relate each edge to the edges of one
+   spanning tree (Feder).  Pass 2 contains tau, so the third coloring is
+   sigma and must coordinatize.  O(n * m).
+
+A graph of prime order is prime, as factor orders multiply to n, so it
+gets a single color without any pass.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from math import isqrt
+from itertools import combinations
+from math import isqrt, prod
 from typing import Optional
 
 from .core import SignedGraph, bfs_order, is_connected
@@ -80,7 +103,8 @@ def factorize(g: SignedGraph) -> OrdinaryDecomposition:
     """Unique prime decomposition of the underlying graph of ``g``."""
     if g.m == 0:
         raise NoEdgesError("cannot factorize an edgeless graph")
-    if not is_connected(g):
+    order, dist = bfs_order(g, 0)
+    if len(order) < g.n:
         raise DisconnectedError("factorization needs a connected graph")
 
     eid = {}
@@ -92,15 +116,18 @@ def factorize(g: SignedGraph) -> OrdinaryDecomposition:
     if _is_prime(g.n):  # factor orders multiply to n: one color
         for idx in range(1, g.m):
             ds.union(0, idx)
+        passes = [lambda: None]
     else:
-        _seed_square_rules(g, [set(g.neighbors(u)) for u in range(g.n)], eid, ds)
-    dec = _coordinatize(g, eid, ds)
-    if dec is None:
-        _theta_unions(g, eid, ds)
+        adj = [set(g.neighbors(u)) for u in range(g.n)]
+        passes = [lambda: _seed_from_root(g, adj, eid, ds, dist),
+                  lambda: _seed_square_rules(g, adj, eid, ds),
+                  lambda: _theta_unions(g, eid, ds)]
+    for join in passes:
+        join()
         dec = _coordinatize(g, eid, ds)
-        if dec is None:
-            raise InternalInvariantViolation("the product relation did not coordinatize")
-    return dec
+        if dec is not None:
+            return dec
+    raise InternalInvariantViolation("the product relation did not coordinatize")
 
 
 def is_prime_ordinary(g: SignedGraph) -> bool:
@@ -108,6 +135,24 @@ def is_prime_ordinary(g: SignedGraph) -> bool:
     if not is_connected(g):
         raise DisconnectedError("primality needs a connected graph")
     return len(factorize(g).factors) == 1
+
+
+def _seed_from_root(g, adj, eid, ds, dist):
+    """Pass 1 (see the module docstring)."""
+    for y, z in combinations(g.neighbors(0), 2):
+        if z in adj[y] or len(adj[y] & adj[z]) != 2:
+            ds.union(eid[(0, y)], eid[(0, z)])
+    for u in range(1, g.n):
+        down = dist[u] - 1
+        p = next(w for w, _ in g.adjacency[u] if dist[w] == down)
+        for w, _ in g.adjacency[u]:
+            if dist[w] > down:
+                common = adj[p] & adj[w]
+                if len(common) == 2:  # the one 4-cycle u p x w
+                    (x,) = common - {u}
+                    ds.union(eid[(u, w)], eid[(p, x)])
+                else:
+                    ds.union(eid[(u, w)], eid[(u, p)])
 
 
 def _seed_square_rules(g, adj, eid, ds):
@@ -145,35 +190,23 @@ def _coordinatize(g, eid, ds) -> Optional[OrdinaryDecomposition]:
     """The decomposition colored by ``ds``, or None if it is no product."""
     # color classes in order of first edge appearance
     root_pos = {}
-    for idx in range(g.m):
-        root_pos.setdefault(ds.find(idx), len(root_pos))
+    color = [root_pos.setdefault(ds.find(idx), len(root_pos)) for idx in range(g.m)]
     k = len(root_pos)
-    color = {}
-    for (u, v, _s) in g.edges:
-        c = root_pos[ds.find(eid[(u, v)])]
-        color[(u, v)] = c
-        color[(v, u)] = c
+    colored = [[(w, color[eid[(u, w)]]) for w, _ in g.adjacency[u]] for u in range(g.n)]
 
     # layer of each color through vertex 0, ordered by BFS
     layer_verts: list[list[int]] = []
     for c in range(k):
         seen = {0}
         order = [0]
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w, _ in g.adjacency[u]:
-                if color[(u, w)] == c and w not in seen:
+        for u in order:
+            for w, cw in colored[u]:
+                if cw == c and w not in seen:
                     seen.add(w)
                     order.append(w)
-                    queue.append(w)
         layer_verts.append(order)
 
-    sizes = [len(lv) for lv in layer_verts]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total != g.n:
+    if prod(len(lv) for lv in layer_verts) != g.n:
         return None
 
     # coordinates via nearest-vertex projections onto the base layers
@@ -187,35 +220,23 @@ def _coordinatize(g, eid, ds) -> Optional[OrdinaryDecomposition]:
     if len(set(coords)) != g.n:
         return None
 
-    # factor graphs from the base layers
-    pos_in_layer = [
-        {w: i for i, w in enumerate(lv)} for lv in layer_verts
-    ]
+    # factor graphs from the base layers; a layer vertex's label is its
+    # index in the layer, and its c-colored edges stay in the layer
     factors = []
-    for c in range(k):
-        verts = layer_verts[c]
-        pos = pos_in_layer[c]
-        vset = set(verts)
-        fedges = []
-        for u in verts:
-            for w, _ in g.adjacency[u]:
-                if w in vset and u < w and color[(u, w)] == c:
-                    fedges.append((pos[u], pos[w], 1))
+    for c, (verts, pos) in enumerate(zip(layer_verts, per_color)):
+        fedges = [(pos[u], pos[w], 1) for u in verts
+                  for w, cw in colored[u] if cw == c and u < w]
         factors.append(SignedGraph(len(verts), fedges))
 
     # every edge must move exactly one coordinate, along its own color
-    for u, v, _s in g.edges:
-        c = color[(u, v)]
-        diffs = [j for j in range(k) if coords[u][j] != coords[v][j]]
-        if diffs != [c] or not factors[c].has_edge(coords[u][c], coords[v][c]):
+    for (u, v, _s), c in zip(g.edges, color):
+        cu, cv = coords[u], coords[v]
+        if (cu[:c] != cv[:c] or cu[c + 1:] != cv[c + 1:]
+                or not factors[c].has_edge(cu[c], cv[c])):
             return None
 
     # exact reconstruction: edge count of the product must match
-    expected = 0
-    for c in range(k):
-        copies = g.n // sizes[c]
-        expected += factors[c].m * copies
-    if expected != g.m:
+    if sum(f.m * (g.n // f.n) for f in factors) != g.m:
         return None
 
     if k == 1 and factors[0].n != g.n:
@@ -223,7 +244,7 @@ def _coordinatize(g, eid, ds) -> Optional[OrdinaryDecomposition]:
 
     cs = CoordinateSystem(tuple(factors), tuple(coords))
     return OrdinaryDecomposition(tuple(factors), cs, {
-        (u, v): color[(u, v)] for u, v, _ in g.edges
+        (u, v): c for (u, v, _s), c in zip(g.edges, color)
     })
 
 

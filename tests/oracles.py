@@ -17,11 +17,20 @@ from sgw.errors import (
     DifferentUnderlyingGraphError,
     DisconnectedError,
     EmptyListError,
+    InternalInvariantViolation,
     NoEdgesError,
     OrderTooLargeError,
     TooLargeError,
 )
-from sgw.factor_ordinary import DisjointSet, factorize
+from sgw.factor_ordinary import (
+    DisjointSet,
+    OrdinaryDecomposition,
+    _is_prime,
+    _nearest_labels,
+    _seed_square_rules,
+    _theta_unions,
+    factorize,
+)
 from sgw.homomorphism import ISOMORPHISM_ORDER_CAP, TARGET_ORDER_CAP
 from sgw.product import CoordinateSystem
 from sgw.s_factor import SDecomposition
@@ -875,3 +884,124 @@ def _merge_colors(g: SignedGraph, od, debug_trace: Optional[list]):
         if debug_trace is not None:
             debug_trace.append(("done", x))
     return merger, switched
+
+
+# -- the all-corner ordinary factorization ---------------------------------
+#
+# Reference for ``factor_ordinary.factorize``: the square rules at every
+# vertex, then theta if that coloring does not coordinatize, read through
+# a tuple-keyed color dict.  Bodies are kept as they were; the passes
+# they call are the library's.
+
+
+def all_corners_factorize(g: SignedGraph) -> OrdinaryDecomposition:
+    """Unique prime decomposition of the underlying graph of ``g``."""
+    if g.m == 0:
+        raise NoEdgesError("cannot factorize an edgeless graph")
+    if not is_connected(g):
+        raise DisconnectedError("factorization needs a connected graph")
+
+    eid = {}
+    for idx, (u, v, _) in enumerate(g.edges):
+        eid[(u, v)] = idx
+        eid[(v, u)] = idx
+
+    ds = DisjointSet(g.m)
+    if _is_prime(g.n):  # factor orders multiply to n: one color
+        for idx in range(1, g.m):
+            ds.union(0, idx)
+    else:
+        _seed_square_rules(g, [set(g.neighbors(u)) for u in range(g.n)], eid, ds)
+    dec = _coordinatize(g, eid, ds)
+    if dec is None:
+        _theta_unions(g, eid, ds)
+        dec = _coordinatize(g, eid, ds)
+        if dec is None:
+            raise InternalInvariantViolation("the product relation did not coordinatize")
+    return dec
+
+
+def _coordinatize(g, eid, ds) -> Optional[OrdinaryDecomposition]:
+    """The decomposition colored by ``ds``, or None if it is no product."""
+    # color classes in order of first edge appearance
+    root_pos = {}
+    for idx in range(g.m):
+        root_pos.setdefault(ds.find(idx), len(root_pos))
+    k = len(root_pos)
+    color = {}
+    for (u, v, _s) in g.edges:
+        c = root_pos[ds.find(eid[(u, v)])]
+        color[(u, v)] = c
+        color[(v, u)] = c
+
+    # layer of each color through vertex 0, ordered by BFS
+    layer_verts: list[list[int]] = []
+    for c in range(k):
+        seen = {0}
+        order = [0]
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            for w, _ in g.adjacency[u]:
+                if color[(u, w)] == c and w not in seen:
+                    seen.add(w)
+                    order.append(w)
+                    queue.append(w)
+        layer_verts.append(order)
+
+    sizes = [len(lv) for lv in layer_verts]
+    total = 1
+    for s in sizes:
+        total *= s
+    if total != g.n:
+        return None
+
+    # coordinates via nearest-vertex projections onto the base layers
+    per_color = []
+    for lv in layer_verts:
+        labels = _nearest_labels(g, lv)
+        if labels is None:
+            return None
+        per_color.append(labels)
+    coords = list(zip(*per_color))
+    if len(set(coords)) != g.n:
+        return None
+
+    # factor graphs from the base layers
+    pos_in_layer = [
+        {w: i for i, w in enumerate(lv)} for lv in layer_verts
+    ]
+    factors = []
+    for c in range(k):
+        verts = layer_verts[c]
+        pos = pos_in_layer[c]
+        vset = set(verts)
+        fedges = []
+        for u in verts:
+            for w, _ in g.adjacency[u]:
+                if w in vset and u < w and color[(u, w)] == c:
+                    fedges.append((pos[u], pos[w], 1))
+        factors.append(SignedGraph(len(verts), fedges))
+
+    # every edge must move exactly one coordinate, along its own color
+    for u, v, _s in g.edges:
+        c = color[(u, v)]
+        diffs = [j for j in range(k) if coords[u][j] != coords[v][j]]
+        if diffs != [c] or not factors[c].has_edge(coords[u][c], coords[v][c]):
+            return None
+
+    # exact reconstruction: edge count of the product must match
+    expected = 0
+    for c in range(k):
+        copies = g.n // sizes[c]
+        expected += factors[c].m * copies
+    if expected != g.m:
+        return None
+
+    if k == 1 and factors[0].n != g.n:
+        raise InternalInvariantViolation("single-color layer misses vertices")
+
+    cs = CoordinateSystem(tuple(factors), tuple(coords))
+    return OrdinaryDecomposition(tuple(factors), cs, {
+        (u, v): color[(u, v)] for u, v, _ in g.edges
+    })

@@ -4,13 +4,14 @@ import pytest
 
 from sgw import factor_ordinary
 from sgw.constructions import make
-from sgw.core import SignedGraph, build, is_connected
+from sgw.core import SignedGraph, bfs_order, build, is_connected
 from sgw.errors import DisconnectedError, NoEdgesError
 from sgw.factor_ordinary import DisjointSet, factorize, is_prime_ordinary
 from sgw.product import product_many
 from sgw.s_factor import s_decompose
 
 from oracles import (
+    all_corners_factorize,
     brute_force_is_prime,
     nearest_layer_positions,
     nearest_projection_coords,
@@ -215,8 +216,8 @@ class TestProductRelation:
         def unreachable(*args):
             raise AssertionError("a graph of prime order was colored")
 
-        monkeypatch.setattr(factor_ordinary, "_seed_square_rules", unreachable)
-        monkeypatch.setattr(factor_ordinary, "_theta_unions", unreachable)
+        for name in ("_seed_from_root", "_seed_square_rules", "_theta_unions"):
+            monkeypatch.setattr(factor_ordinary, name, unreachable)
         for g in (circulant(31, 7), circulant(101, 5), make("K_plus", 5)):
             dec = factorize(g)
             assert [f.n for f in dec.factors] == [g.n]
@@ -245,7 +246,8 @@ class TestProductRelation:
 
     def test_theta_recovers_square_rule_coloring(self, monkeypatch):
         # seeds cut down to tau (adjacent edges on no common chordless
-        # square are joined) leave it to the theta pass to reach sigma
+        # square are joined), with no pass from the root, leave it to the
+        # theta pass to reach sigma
         rng = random.Random(41)
         graphs = []
         for _ in range(120):
@@ -270,11 +272,106 @@ class TestProductRelation:
             theta_runs.append(g)
             theta_unions(g, eid, ds)
 
+        monkeypatch.setattr(factor_ordinary, "_seed_from_root", lambda *args: None)
         monkeypatch.setattr(factor_ordinary, "_seed_square_rules", tau_only)
         monkeypatch.setattr(factor_ordinary, "_theta_unions", counting)
         for g, edge_color in zip(graphs, expected):
             assert factorize(g).edge_color == edge_color
         assert len(theta_runs) > len(graphs) // 2
+
+
+class RecordingDisjointSet(DisjointSet):
+    def __init__(self, n):
+        super().__init__(n)
+        self.joins = []
+
+    def union(self, x, y):
+        self.joins.append((x, y))
+        return super().union(x, y)
+
+
+def root_pass(g: SignedGraph):
+    """The edge ids and the union-find after the pass from the root alone."""
+    eid = {}
+    for idx, (u, v, _) in enumerate(g.edges):
+        eid[(u, v)] = eid[(v, u)] = idx
+    ds = RecordingDisjointSet(g.m)
+    factor_ordinary._seed_from_root(g, [set(g.neighbors(u)) for u in range(g.n)],
+                                    eid, ds, bfs_order(g, 0)[1])
+    return eid, ds
+
+
+def parity_graphs(rng: random.Random):
+    graphs = [random_connected_signed_graph(rng, 2, 12) for _ in range(600)]
+    for _ in range(250):
+        g = relabel(rng, product_many([random_connected_signed_graph(rng, 2, 4)
+                                       for _ in range(rng.randint(2, 3))])[0])
+        flipped = toggle_edge(rng, g)
+        graphs += [g] + [flipped] * is_connected(flipped)
+    for _ in range(150):
+        prism = relabel(rng, signed_prism(random_connected_signed_graph(rng, 2, 6)))
+        graphs += [prism, relabel(rng, product_many([
+            prism, random_connected_signed_graph(rng, 2, 3)])[0])]
+    graphs += [circulant(p, b) for p in (11, 13, 17, 19, 23, 29, 31,
+                                         12, 15, 16, 20, 21, 24, 27, 30, 32, 35)
+               for b in range(2, p // 2 + 1)]
+    return graphs
+
+
+class TestRootPass:
+    def test_matches_all_corners(self, monkeypatch):
+        # both return the first coloring that coordinatizes, so sigma's;
+        # the count shows that the fallback passes still run
+        fallbacks = []
+        square_rules = factor_ordinary._seed_square_rules
+
+        def counting(g, adj, eid, ds):
+            fallbacks.append(g)
+            square_rules(g, adj, eid, ds)
+
+        monkeypatch.setattr(factor_ordinary, "_seed_square_rules", counting)
+        graphs = parity_graphs(random.Random(47))
+        for g in graphs:
+            new, old = factorize(g), all_corners_factorize(g)
+            assert new.edge_color == old.edge_color
+            assert new.coords.coords == old.coords.coords
+            assert new.factors == old.factors
+        assert len(graphs) >= 1500
+        assert 0 < len(fallbacks) < len(graphs) // 4
+
+    def test_joins_lie_in_the_product_relation(self):
+        # each join of the pass, checked against the naive (theta | tau)*
+        rng = random.Random(53)
+        graphs = [g for g in parity_graphs(rng)[::4] if g.m <= 40]
+        fallbacks = 0
+        for g in graphs:
+            eid, ds = root_pass(g)
+            edges = g.underlying_edges()
+            sigma = {e: cls for cls in product_relation_classes(g) for e in cls}
+            for x, y in ds.joins:
+                assert sigma[edges[x]] is sigma[edges[y]]
+            fallbacks += factor_ordinary._coordinatize(g, eid, ds) is None
+        assert len(graphs) >= 300
+        assert 0 < fallbacks < len(graphs) // 4
+
+    def test_decides_products_alone(self, monkeypatch):
+        # the decompose benchmark's shapes, and K4 x C6, whose edges at 0
+        # lie on one 4-cycle and on a triangle
+        def unreachable(*args):
+            raise AssertionError("the pass from the root fell back")
+
+        monkeypatch.setattr(factor_ordinary, "_seed_square_rules", unreachable)
+        monkeypatch.setattr(factor_ordinary, "_theta_unions", unreachable)
+        rng = random.Random(59)
+        k2, c = make("K_plus", 2), lambda n: make("BC", n)
+        for parts in ([c(8)] * 3, [k2] * 6 + [c(5)],
+                      [make("K_plus", 5), make("K_plus", 6), c(11)],
+                      [c(7), c(11), c(13)], [make("K_plus", 4), c(6)]):
+            g, _ = product_many(parts)
+            for h in (g, build(g.n, random_signature(rng, g.underlying_edges())),
+                      relabel(rng, g)):
+                dec = factorize(h)
+                assert sorted(f.n for f in dec.factors) == sorted(p.n for p in parts)
 
 
 class TestPrimalityOracle:
