@@ -7,15 +7,24 @@ is extracted and verified by exact reconstruction.  The first coloring
 that passes is returned.
 
 Coordinates: for each color c, the base layer is the c-colored component
-of vertex 0, and a vertex's c-th coordinate is the index of its nearest
-base-layer vertex.  One BFS started from the whole base layer at once
-computes them: each base-layer vertex labels itself, and every other
-vertex takes the label of its shortest-path predecessors.  Its nearest
-base-layer vertices are the union of its predecessors', so a tie (two
-nearest vertices) shows first at a vertex whose predecessors carry
-different labels, and every vertex reached through it is tied too.  Any
-tie rejects the coloring.  With k <= log2(n) colors this costs
-O(k * (n + m)).
+of vertex 0, in BFS order, and a vertex's c-th coordinate is the index
+of its projection onto that layer.  One sweep in the BFS order from
+vertex 0 computes them all.  A base-layer vertex takes its index in its
+layer and 0 elsewhere.  Any other vertex u copies the tuple of a
+down-neighbor p (one level nearer to 0), whose edge up has color c, and
+takes coordinate c from a down-neighbor q whose edge has another color.
+If there is no such q, the coloring is rejected.  (In a product the base
+layers meet only at 0; where they meet elsewhere, the later layer's
+index wins.)  The sweep only proposes coordinates: the exact
+check that follows (distinct tuples, every edge moving its own
+coordinate along an edge of its factor, the product's edge count) holds
+exactly when the proposal is a color-preserving isomorphism onto the
+product of the base layers, so it alone decides.  In a product the
+sweep finds the projections: distance from 0 is the sum of the factor
+distances, so a vertex off the base layers has a down-neighbor along
+each of its two or more nonzero coordinates, q agrees with u in
+coordinate c, and p and q come earlier in the order.  One look at each
+edge and one k-tuple per vertex, O(m + k * n).
 
 The passes.  Every join of every pass is inside the product relation
 sigma: two opposite edges of a 4-cycle (theta-related when the cycle is
@@ -56,9 +65,9 @@ gets a single color without any pass.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from math import isqrt, prod
 from typing import Optional
 
@@ -91,6 +100,17 @@ class DisjointSet:
         self.parent[ry] = rx
         return True
 
+    def labels(self) -> list[int]:
+        """Each member's class number, classes numbered by least member.
+
+        One pass in member order: a parent is never greater than its
+        child, so its label is known first."""
+        fresh = count()
+        label = []
+        for x, p in enumerate(self.parent):
+            label.append(next(fresh) if p == x else label[p])
+        return label
+
 
 @dataclass(frozen=True)
 class OrdinaryDecomposition:
@@ -107,10 +127,10 @@ def factorize(g: SignedGraph) -> OrdinaryDecomposition:
     if len(order) < g.n:
         raise DisconnectedError("factorization needs a connected graph")
 
-    eid = {}
+    # per vertex: neighbor -> edge id; g.edges is sorted, so in g.adjacency's order
+    eid = [{} for _ in range(g.n)]
     for idx, (u, v, _) in enumerate(g.edges):
-        eid[(u, v)] = idx
-        eid[(v, u)] = idx
+        eid[u][v] = eid[v][u] = idx
 
     ds = DisjointSet(g.m)
     if _is_prime(g.n):  # factor orders multiply to n: one color
@@ -118,13 +138,12 @@ def factorize(g: SignedGraph) -> OrdinaryDecomposition:
             ds.union(0, idx)
         passes = [lambda: None]
     else:
-        adj = [set(g.neighbors(u)) for u in range(g.n)]
-        passes = [lambda: _seed_from_root(g, adj, eid, ds, dist),
-                  lambda: _seed_square_rules(g, adj, eid, ds),
+        passes = [lambda: _seed_from_root(g, eid, ds, dist),
+                  lambda: _seed_square_rules(g, eid, ds),
                   lambda: _theta_unions(g, eid, ds)]
     for join in passes:
         join()
-        dec = _coordinatize(g, eid, ds)
+        dec = _coordinatize(g, eid, ds, order, dist)
         if dec is not None:
             return dec
     raise InternalInvariantViolation("the product relation did not coordinatize")
@@ -137,41 +156,45 @@ def is_prime_ordinary(g: SignedGraph) -> bool:
     return len(factorize(g).factors) == 1
 
 
-def _seed_from_root(g, adj, eid, ds, dist):
+def _seed_from_root(g, eid, ds, dist):
     """Pass 1 (see the module docstring)."""
-    for y, z in combinations(g.neighbors(0), 2):
-        if z in adj[y] or len(adj[y] & adj[z]) != 2:
-            ds.union(eid[(0, y)], eid[(0, z)])
+    for y, z in combinations(eid[0], 2):
+        if z in eid[y] or len(eid[y].keys() & eid[z].keys()) != 2:
+            ds.union(eid[0][y], eid[0][z])
     for u in range(1, g.n):
         down = dist[u] - 1
-        p = next(w for w, _ in g.adjacency[u] if dist[w] == down)
-        for w, _ in g.adjacency[u]:
+        at = eid[u]
+        for p in at:
+            if dist[p] == down:
+                break
+        at_p, up = eid[p], at[p]
+        for w, e in at.items():
             if dist[w] > down:
-                common = adj[p] & adj[w]
+                common = at_p.keys() & eid[w].keys()
                 if len(common) == 2:  # the one 4-cycle u p x w
-                    (x,) = common - {u}
-                    ds.union(eid[(u, w)], eid[(p, x)])
+                    a, b = common
+                    ds.union(e, at_p[b if a == u else a])
                 else:
-                    ds.union(eid[(u, w)], eid[(u, p)])
+                    ds.union(e, up)
 
 
-def _seed_square_rules(g, adj, eid, ds):
+def _seed_square_rules(g, eid, ds):
     for x in range(g.n):
-        nbrs = g.neighbors(x)
-        for a in range(len(nbrs)):
-            y = nbrs[a]
-            for b in range(a + 1, len(nbrs)):
-                z = nbrs[b]
-                exy, exz = eid[(x, y)], eid[(x, z)]
-                if z in adj[y]:  # triangle: one layer
+        at = eid[x]
+        nbrs = list(at)
+        for a, y in enumerate(nbrs):
+            at_y = eid[y]
+            for z in nbrs[a + 1:]:
+                exy, exz = at[y], at[z]
+                if z in at_y:  # triangle: one layer
                     ds.union(exy, exz)
                     continue
                 chordless = []
                 chorded = False
-                for w in adj[y] & adj[z]:
+                for w in at_y.keys() & eid[z].keys():
                     if w == x:
                         continue
-                    if w in adj[x]:
+                    if w in at:
                         chorded = True
                     else:
                         chordless.append(w)
@@ -180,52 +203,45 @@ def _seed_square_rules(g, adj, eid, ds):
                 if x < y and x < z:
                     for w in chordless:
                         if x < w:
-                            ds.union(exy, eid[(z, w)])
-                            ds.union(exz, eid[(y, w)])
+                            ds.union(exy, eid[z][w])
+                            ds.union(exz, at_y[w])
                 if chorded or len(chordless) != 1:
                     ds.union(exy, exz)
 
 
-def _coordinatize(g, eid, ds) -> Optional[OrdinaryDecomposition]:
-    """The decomposition colored by ``ds``, or None if it is no product."""
+def _coordinatize(g, eid, ds, order, dist) -> Optional[OrdinaryDecomposition]:
+    """The decomposition colored by ``ds``, or None if it is no product.
+
+    ``order`` and ``dist`` are a BFS from vertex 0."""
     # color classes in order of first edge appearance
-    root_pos = {}
-    color = [root_pos.setdefault(ds.find(idx), len(root_pos)) for idx in range(g.m)]
-    k = len(root_pos)
-    colored = [[(w, color[eid[(u, w)]]) for w, _ in g.adjacency[u]] for u in range(g.n)]
+    color = ds.labels()
 
     # layer of each color through vertex 0, ordered by BFS
     layer_verts: list[list[int]] = []
-    for c in range(k):
+    for c in range(max(color) + 1):
         seen = {0}
-        order = [0]
-        for u in order:
-            for w, cw in colored[u]:
-                if cw == c and w not in seen:
+        layer = [0]
+        for u in layer:
+            for w, e in eid[u].items():
+                if color[e] == c and w not in seen:
                     seen.add(w)
-                    order.append(w)
-        layer_verts.append(order)
+                    layer.append(w)
+        layer_verts.append(layer)
 
     if prod(len(lv) for lv in layer_verts) != g.n:
         return None
 
-    # coordinates via nearest-vertex projections onto the base layers
-    per_color = []
-    for lv in layer_verts:
-        labels = _nearest_labels(g, lv)
-        if labels is None:
-            return None
-        per_color.append(labels)
-    coords = list(zip(*per_color))
-    if len(set(coords)) != g.n:
+    coords = _sweep_coords(eid, color, layer_verts, order, dist)
+    if coords is None or len(set(coords)) != g.n:
         return None
 
     # factor graphs from the base layers; a layer vertex's label is its
     # index in the layer, and its c-colored edges stay in the layer
     factors = []
-    for c, (verts, pos) in enumerate(zip(layer_verts, per_color)):
+    for c, verts in enumerate(layer_verts):
+        pos = {u: i for i, u in enumerate(verts)}
         fedges = [(pos[u], pos[w], 1) for u in verts
-                  for w, cw in colored[u] if cw == c and u < w]
+                  for w, e in eid[u].items() if u < w and color[e] == c]
         factors.append(SignedGraph(len(verts), fedges))
 
     # every edge must move exactly one coordinate, along its own color
@@ -239,41 +255,39 @@ def _coordinatize(g, eid, ds) -> Optional[OrdinaryDecomposition]:
     if sum(f.m * (g.n // f.n) for f in factors) != g.m:
         return None
 
-    if k == 1 and factors[0].n != g.n:
+    if len(factors) == 1 and factors[0].n != g.n:
         raise InternalInvariantViolation("single-color layer misses vertices")
 
     cs = CoordinateSystem(tuple(factors), tuple(coords))
-    return OrdinaryDecomposition(tuple(factors), cs, {
-        (u, v): c for (u, v, _s), c in zip(g.edges, color)
-    })
+    edge_color = {(u, v): c for (u, v, _s), c in zip(g.edges, color)}
+    return OrdinaryDecomposition(tuple(factors), cs, edge_color)
 
 
-def _nearest_labels(g, layer):
-    """Index in ``layer`` of each vertex's unique nearest layer vertex.
+def _sweep_coords(eid, color, layer_verts, order, dist):
+    """Coordinates from one sweep in BFS order, or None (module docstring).
 
-    One BFS from every layer vertex at once.  The nearest layer vertices
-    of u are the union of those of its shortest-path predecessors, so
-    some vertex has two of them exactly when some vertex sees two
-    predecessors with different labels; then the result is None.
+    A base-layer vertex takes its index in its layer.  Any other vertex
+    copies the tuple of a down-neighbor p, whose edge has color c, and
+    takes coordinate c from a down-neighbor whose edge has another color.
     """
-    label = [-1] * g.n
-    dist = [-1] * g.n
-    for i, w in enumerate(layer):
-        label[w] = i
-        dist[w] = 0
-    queue = deque(layer)
-    while queue:
-        v = queue.popleft()
-        dv = dist[v] + 1
-        lab = label[v]
-        for u, _ in g.adjacency[v]:
-            if dist[u] < 0:
-                dist[u] = dv
-                label[u] = lab
-                queue.append(u)
-            elif dist[u] == dv and label[u] != lab:
+    zero = (0,) * len(layer_verts)
+    coords = [zero] + [None] * (len(order) - 1)
+    for c, layer in enumerate(layer_verts):
+        for i, u in enumerate(layer[1:], 1):
+            coords[u] = zero[:c] + (i,) + zero[c + 1:]
+    for u in order:
+        if coords[u] is None:
+            down = dist[u] - 1
+            below = [(w, color[e]) for w, e in eid[u].items() if dist[w] == down]
+            p, c = below[0]
+            for q, cq in below:
+                if cq != c:
+                    cp = coords[p]
+                    coords[u] = cp[:c] + (coords[q][c],) + cp[c + 1:]
+                    break
+            else:
                 return None
-    return label
+    return coords
 
 
 def _theta_unions(g, eid, ds):
@@ -285,7 +299,7 @@ def _theta_unions(g, eid, ds):
     only until its last tree child has used them.  O(n * m) in all.
     """
     order, root = bfs_order(g, 0)
-    parent = {c: next(w for w, _ in g.adjacency[c] if root[w] == root[c] - 1)
+    parent = {c: next(w for w in eid[c] if root[w] == root[c] - 1)
               for c in order[1:]}
     children = Counter(parent.values())
     dist = {0: root}
@@ -293,7 +307,7 @@ def _theta_unions(g, eid, ds):
         p = parent[c]
         dc, dp = bfs_order(g, c)[1], dist[p]
         diff = [a - b for a, b in zip(dc, dp)]
-        tree_edge = eid[(p, c)]
+        tree_edge = eid[p][c]
         for idx, (x, y, _s) in enumerate(g.edges):
             if diff[x] != diff[y]:
                 ds.union(tree_edge, idx)

@@ -66,52 +66,43 @@ class SDecomposition:
 def s_decompose(g: SignedGraph) -> SDecomposition:
     """Prime s-decomposition of a connected signed graph with >= 1 edge."""
     od = factorize(g)
-    ocoords = od.coords.coords
+    ocols = list(zip(*od.coords.coords))
     osizes = [f.n for f in od.factors]
     root = _joined_colors(g, od)
     roots = sorted(set(root))
     classes = [[j for j, r in enumerate(root) if r == c] for c in roots]
     class_of = [roots.index(r) for r in root]
-
-    def merged_coord(u: int, members: list[int]) -> int:
-        # mixed-radix index over the ordinary coordinates in the class
-        idx = 0
-        for j in members:
-            idx = idx * osizes[j] + ocoords[u][j]
-        return idx
-
-    coords = tuple(
-        tuple(merged_coord(u, members) for members in classes) for u in range(g.n)
-    )
-    factor_of_edge = {(u, v): class_of[od.edge_color[(u, v)]] for u, v, _ in g.edges}
+    coords = tuple(zip(*(_mixed_radix(ocols, osizes, members) for members in classes)))
+    # od.edge_color lists the edges in g.edges order
+    edge_class = [class_of[c] for c in od.edge_color.values()]
 
     # factor c: the input's class-c edges whose other coordinates are 0
-    fedges = [[] for _ in classes]
-    for u, v, s in g.edges:
-        c = factor_of_edge[(u, v)]
+    fsign = [{} for _ in classes]  # per factor: (a, b) and (b, a) -> sign
+    for (u, v, s), c in zip(g.edges, edge_class):
         cu = coords[u]
         if sum(cu) == cu[c]:
-            fedges[c].append((cu[c], coords[v][c], s))
+            a, b = cu[c], coords[v][c]
+            fsign[c][a, b] = fsign[c][b, a] = s
     factors = tuple(
-        SignedGraph(math.prod(osizes[j] for j in members), edges)
-        for members, edges in zip(classes, fedges)
+        SignedGraph(math.prod(osizes[j] for j in members),
+                    [(a, b, s) for (a, b), s in signs.items() if a < b])
+        for members, signs in zip(classes, fsign)
     )
 
-    # the input's signs times the product's, in the input's adjacency order
-    ratio = {}
-    for u, v, s in g.edges:
-        c = factor_of_edge[(u, v)]
-        ratio[(u, v)] = ratio[(v, u)] = s * factors[c].sign(coords[u][c], coords[v][c])
-    x, _, bad = _switch_flags(
-        g, [[(v, ratio[(u, v)]) for v, _ in adj] for u, adj in enumerate(g.adjacency)]
-    )
+    # the input's signs times the product's, in g.adjacency's order
+    ratio = [[] for _ in range(g.n)]
+    for (u, v, s), c in zip(g.edges, edge_class):
+        r = s * fsign[c][coords[u][c], coords[v][c]]
+        ratio[u].append((v, r))
+        ratio[v].append((u, r))
+    x, _, bad = _switch_flags(g, ratio)
     if bad is not None:
         raise InternalInvariantViolation("the s-factors' product is no switching of the input")
     return SDecomposition(
         factors=factors,
         coords=CoordinateSystem(factors, coords),
         switch_set=x,
-        factor_of_edge=factor_of_edge,
+        factor_of_edge=dict(zip(od.edge_color, edge_class)),
     )
 
 
@@ -119,6 +110,14 @@ def is_s_prime(g: SignedGraph) -> bool:
     """True iff the connected signed graph ``g`` (with >= 1 edge) is s-prime:
     negative squares join all its ordinary colors into one."""
     return set(_joined_colors(g, factorize(g))) == {0}
+
+
+def _mixed_radix(cols, sizes, members) -> list[int]:
+    """Each vertex's mixed-radix index over the coordinate columns ``members``."""
+    col = cols[members[0]]
+    for j in members[1:]:
+        col = [a * sizes[j] + b for a, b in zip(col, cols[j])]
+    return col
 
 
 def _joined_colors(g: SignedGraph, od) -> list[int]:
@@ -133,20 +132,21 @@ def _joined_colors(g: SignedGraph, od) -> list[int]:
     root = list(range(k))
     if k == 1:
         return root
-    rank = [0] * g.n
-    for u, c in enumerate(od.coords.coords):
-        for f, cj in zip(od.factors, c):
-            rank[u] = rank[u] * f.n + cj
+    rank = _mixed_radix(list(zip(*od.coords.coords)), [f.n for f in od.factors], root)
     at = [0] * g.n  # vertex of each rank
     for u, r in enumerate(rank):
         at[r] = u
     sign = [dict(adj) for adj in g.adjacency]  # per vertex: neighbor -> sign
+    above = [[] for _ in range(g.n)]  # per vertex: its edges to higher rank
+    for (u, v, s), c in zip(g.edges, od.edge_color.values()):
+        if rank[u] < rank[v]:
+            above[u].append((rank[v], v, c, s))
+        else:
+            above[v].append((rank[u], u, c, s))
     joins_left = k - 1
     for x, u in enumerate(at):
-        above = [(rank[v], v, od.edge_color[(u, v) if u < v else (v, u)], s)
-                 for v, s in g.adjacency[u] if rank[v] > x]
-        for a, (y, vy, i, s_xy) in enumerate(above):
-            for z, vz, j, s_xz in above[a + 1:]:
+        for a, (y, vy, i, s_xy) in enumerate(above[u]):
+            for z, vz, j, s_xz in above[u][a + 1:]:
                 if root[i] == root[j]:
                     continue
                 w = at[y + z - x]

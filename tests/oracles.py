@@ -7,8 +7,9 @@ algorithms so that agreement is meaningful evidence of correctness.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 from typing import Optional
 
@@ -26,15 +27,12 @@ from sgw.factor_ordinary import (
     DisjointSet,
     OrdinaryDecomposition,
     _is_prime,
-    _nearest_labels,
-    _seed_square_rules,
-    _theta_unions,
     factorize,
 )
 from sgw.homomorphism import ISOMORPHISM_ORDER_CAP, TARGET_ORDER_CAP
 from sgw.product import CoordinateSystem
 from sgw.s_factor import SDecomposition
-from sgw.switching import canonical_form, equivalent, switch
+from sgw.switching import _switch_flags, canonical_form, equivalent, switch
 
 
 def random_signature(rng: random.Random, edges):
@@ -890,8 +888,9 @@ def _merge_colors(g: SignedGraph, od, debug_trace: Optional[list]):
 #
 # Reference for ``factor_ordinary.factorize``: the square rules at every
 # vertex, then theta if that coloring does not coordinatize, read through
-# a tuple-keyed color dict.  Bodies are kept as they were; the passes
-# they call are the library's.
+# a tuple-keyed color dict, with coordinates from one multi-source BFS per
+# color.  Bodies are kept as they were, and so are the passes and the
+# BFS they call, on a pair-keyed edge-id dict and neighbor sets.
 
 
 def all_corners_factorize(g: SignedGraph) -> OrdinaryDecomposition:
@@ -1005,3 +1004,190 @@ def _coordinatize(g, eid, ds) -> Optional[OrdinaryDecomposition]:
     return OrdinaryDecomposition(tuple(factors), cs, {
         (u, v): color[(u, v)] for u, v, _ in g.edges
     })
+
+
+def _seed_square_rules(g, adj, eid, ds):
+    for x in range(g.n):
+        nbrs = g.neighbors(x)
+        for a in range(len(nbrs)):
+            y = nbrs[a]
+            for b in range(a + 1, len(nbrs)):
+                z = nbrs[b]
+                exy, exz = eid[(x, y)], eid[(x, z)]
+                if z in adj[y]:  # triangle: one layer
+                    ds.union(exy, exz)
+                    continue
+                chordless = []
+                chorded = False
+                for w in adj[y] & adj[z]:
+                    if w == x:
+                        continue
+                    if w in adj[x]:
+                        chorded = True
+                    else:
+                        chordless.append(w)
+                # each chordless square is met from all four corners with
+                # the same two opposite-edge unions; make them at the least
+                if x < y and x < z:
+                    for w in chordless:
+                        if x < w:
+                            ds.union(exy, eid[(z, w)])
+                            ds.union(exz, eid[(y, w)])
+                if chorded or len(chordless) != 1:
+                    ds.union(exy, exz)
+
+
+def _nearest_labels(g, layer):
+    """Index in ``layer`` of each vertex's unique nearest layer vertex.
+
+    One BFS from every layer vertex at once.  The nearest layer vertices
+    of u are the union of those of its shortest-path predecessors, so
+    some vertex has two of them exactly when some vertex sees two
+    predecessors with different labels; then the result is None.
+    """
+    label = [-1] * g.n
+    dist = [-1] * g.n
+    for i, w in enumerate(layer):
+        label[w] = i
+        dist[w] = 0
+    queue = deque(layer)
+    while queue:
+        v = queue.popleft()
+        dv = dist[v] + 1
+        lab = label[v]
+        for u, _ in g.adjacency[v]:
+            if dist[u] < 0:
+                dist[u] = dv
+                label[u] = lab
+                queue.append(u)
+            elif dist[u] == dv and label[u] != lab:
+                return None
+    return label
+
+
+def _theta_unions(g, eid, ds):
+    """Join each edge of a BFS tree with every edge theta-related to it.
+
+    Edges xy and uv are theta-related iff d(x, u) + d(y, v) differs from
+    d(x, v) + d(y, u), that is, iff d(., u) - d(., v) differs at x and y.
+    One BFS per vertex, taken in BFS order; a vertex's distances are kept
+    only until its last tree child has used them.  O(n * m) in all.
+    """
+    order, root = bfs_order(g, 0)
+    parent = {c: next(w for w, _ in g.adjacency[c] if root[w] == root[c] - 1)
+              for c in order[1:]}
+    children = Counter(parent.values())
+    dist = {0: root}
+    for c in order[1:]:
+        p = parent[c]
+        dc, dp = bfs_order(g, c)[1], dist[p]
+        diff = [a - b for a, b in zip(dc, dp)]
+        tree_edge = eid[(p, c)]
+        for idx, (x, y, _s) in enumerate(g.edges):
+            if diff[x] != diff[y]:
+                ds.union(tree_edge, idx)
+        children[p] -= 1
+        if not children[p]:
+            del dist[p]
+        if children[c]:
+            dist[c] = dc
+
+
+# -- the pair-keyed s-decomposition ----------------------------------------
+#
+# Reference for ``s_factor.s_decompose``: merged coordinates per vertex,
+# classes, ratio signs and the joins' edge colors read through dicts keyed
+# by vertex pairs.  Bodies are kept as they were; the ordinary
+# factorization and the switch flags are the library's.
+
+
+def pair_keyed_s_decompose(g: SignedGraph) -> SDecomposition:
+    """Prime s-decomposition of a connected signed graph with >= 1 edge."""
+    od = factorize(g)
+    ocoords = od.coords.coords
+    osizes = [f.n for f in od.factors]
+    root = _pair_keyed_joined_colors(g, od)
+    roots = sorted(set(root))
+    classes = [[j for j, r in enumerate(root) if r == c] for c in roots]
+    class_of = [roots.index(r) for r in root]
+
+    def merged_coord(u: int, members: list[int]) -> int:
+        # mixed-radix index over the ordinary coordinates in the class
+        idx = 0
+        for j in members:
+            idx = idx * osizes[j] + ocoords[u][j]
+        return idx
+
+    coords = tuple(
+        tuple(merged_coord(u, members) for members in classes) for u in range(g.n)
+    )
+    factor_of_edge = {(u, v): class_of[od.edge_color[(u, v)]] for u, v, _ in g.edges}
+
+    # factor c: the input's class-c edges whose other coordinates are 0
+    fedges = [[] for _ in classes]
+    for u, v, s in g.edges:
+        c = factor_of_edge[(u, v)]
+        cu = coords[u]
+        if sum(cu) == cu[c]:
+            fedges[c].append((cu[c], coords[v][c], s))
+    factors = tuple(
+        SignedGraph(math.prod(osizes[j] for j in members), edges)
+        for members, edges in zip(classes, fedges)
+    )
+
+    # the input's signs times the product's, in the input's adjacency order
+    ratio = {}
+    for u, v, s in g.edges:
+        c = factor_of_edge[(u, v)]
+        ratio[(u, v)] = ratio[(v, u)] = s * factors[c].sign(coords[u][c], coords[v][c])
+    x, _, bad = _switch_flags(
+        g, [[(v, ratio[(u, v)]) for v, _ in adj] for u, adj in enumerate(g.adjacency)]
+    )
+    if bad is not None:
+        raise InternalInvariantViolation("the s-factors' product is no switching of the input")
+    return SDecomposition(
+        factors=factors,
+        coords=CoordinateSystem(factors, coords),
+        switch_set=x,
+        factor_of_edge=factor_of_edge,
+    )
+
+
+def _pair_keyed_joined_colors(g: SignedGraph, od) -> list[int]:
+    """Least color of each ordinary color's class under the joins.
+
+    Colors i != j join when a square spanned by an i-edge and a j-edge is
+    negative.  Vertices are handled by the mixed-radix rank of their
+    ordinary coordinates; each square is read at its least corner x, from
+    x's neighbors y and z of higher rank, and its fourth corner is y + z - x.
+    """
+    k = len(od.factors)
+    root = list(range(k))
+    if k == 1:
+        return root
+    rank = [0] * g.n
+    for u, c in enumerate(od.coords.coords):
+        for f, cj in zip(od.factors, c):
+            rank[u] = rank[u] * f.n + cj
+    at = [0] * g.n  # vertex of each rank
+    for u, r in enumerate(rank):
+        at[r] = u
+    sign = [dict(adj) for adj in g.adjacency]  # per vertex: neighbor -> sign
+    joins_left = k - 1
+    for x, u in enumerate(at):
+        above = [(rank[v], v, od.edge_color[(u, v) if u < v else (v, u)], s)
+                 for v, s in g.adjacency[u] if rank[v] > x]
+        for a, (y, vy, i, s_xy) in enumerate(above):
+            for z, vz, j, s_xz in above[a + 1:]:
+                if root[i] == root[j]:
+                    continue
+                w = at[y + z - x]
+                if s_xy * s_xz * sign[vy][w] * sign[vz][w] < 0:
+                    # at most log2(n) colors: relabel the whole list, so
+                    # the test per square stays two list reads
+                    lo, hi = sorted((root[i], root[j]))
+                    root = [lo if r == hi else r for r in root]
+                    joins_left -= 1
+                    if not joins_left:
+                        return root
+    return root

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from sgw import factor_ordinary
 from sgw.constructions import make
 from sgw.core import SignedGraph, bfs_order, build, is_connected
@@ -57,16 +58,36 @@ def relabel(rng: random.Random, g: SignedGraph) -> SignedGraph:
                              for u, v, s in g.edges])
 
 
+def edge_ids(g: SignedGraph):
+    """Per vertex, neighbor -> edge id, as factorize builds them."""
+    eid = [{} for _ in range(g.n)]
+    for idx, (u, v, _) in enumerate(g.edges):
+        eid[u][v] = eid[v][u] = idx
+    return eid
+
+
 def coordinatize_with(g: SignedGraph, classes):
     """Run the coordinate extraction on g under a hand-made edge coloring."""
-    eid = {}
-    for idx, (u, v, _) in enumerate(g.edges):
-        eid[(u, v)] = eid[(v, u)] = idx
+    eid = edge_ids(g)
     ds = DisjointSet(g.m)
-    for cls in classes:
-        for e in cls[1:]:
-            ds.union(eid[cls[0]], eid[e])
-    return factor_ordinary._coordinatize(g, eid, ds)
+    for (a, b), *rest in classes:
+        for u, v in rest:
+            ds.union(eid[a][b], eid[u][v])
+    return factor_ordinary._coordinatize(g, eid, ds, *bfs_order(g, 0))
+
+
+def both_coordinatize(g: SignedGraph, color):
+    """The library's and the frozen coordinate extraction on g under the
+    edge coloring ``color``, a color per edge id."""
+    ds = DisjointSet(g.m)
+    first = {}
+    for idx, c in enumerate(color):
+        ds.union(first.setdefault(c, idx), idx)
+    pair_eid = {}
+    for idx, (u, v, _) in enumerate(g.edges):
+        pair_eid[(u, v)] = pair_eid[(v, u)] = idx
+    return (factor_ordinary._coordinatize(g, edge_ids(g), ds, *bfs_order(g, 0)),
+            oracles._coordinatize(g, pair_eid, ds))
 
 
 class TestDisjointSet:
@@ -173,7 +194,7 @@ class TestCoordinates:
             layer = rng.sample(range(g.n), rng.randint(1, g.n))
             expected = nearest_layer_positions(g, layer)
             ties += expected is None
-            assert factor_ordinary._nearest_labels(g, layer) == expected
+            assert oracles._nearest_labels(g, layer) == expected
         assert 0 < ties < 300
 
     def test_tie_rejects_coloring(self):
@@ -184,13 +205,53 @@ class TestCoordinates:
         assert coordinatize_with(g, [[(0, 1), (3, 4)],
                                      [(1, 2), (2, 3), (4, 5), (0, 5)]]) is None
         assert nearest_layer_positions(g, [0, 5, 4]) is None
-        assert factor_ordinary._nearest_labels(g, [0, 5, 4]) is None
+        assert oracles._nearest_labels(g, [0, 5, 4]) is None
+
+    def test_sweep_matches_frozen_coordinates_on_any_coloring(self, monkeypatch):
+        # the sweep alone may reject, when a vertex has no second color
+        # below it; the exact check decides the rest, so both must agree
+        # on every coloring, product or not
+        rejected = []
+        sweep = factor_ordinary._sweep_coords
+
+        def recording(eid, color, layer_verts, order, dist):
+            coords = sweep(eid, color, layer_verts, order, dist)
+            rejected.append(coords is None)
+            return coords
+
+        monkeypatch.setattr(factor_ordinary, "_sweep_coords", recording)
+        rng = random.Random(61)
+        graphs = [random_connected_signed_graph(rng, 2, 10) for _ in range(100)]
+        graphs += [relabel(rng, product_many([random_connected_signed_graph(rng, 2, 4)
+                                              for _ in range(rng.randint(2, 3))])[0])
+                   for _ in range(300)]
+        colorings = [(make("BC", 6), [0, 1, 1, 1, 0, 1])]  # the tie above
+        for g in graphs:
+            sigma = list(factorize(g).edge_color.values())
+            k = max(sigma) + 1
+            parts = rng.randint(1, 4)
+            colorings.append((g, [rng.randrange(parts) for _ in range(g.m)]))
+            c = rng.choice(sigma)  # one class split in two
+            colorings.append((g, [k if x == c and rng.random() < 0.5 else x for x in sigma]))
+            if k >= 2:  # two classes merged, and one edge moved to another
+                i, j = rng.sample(range(k), 2)
+                colorings.append((g, [i if x == j else x for x in sigma]))
+                e = rng.randrange(g.m)
+                colorings.append((g, [x if d != e else (x + 1) % k
+                                      for d, x in enumerate(sigma)]))
+        products = 0
+        for g, color in colorings:
+            new, old = both_coordinatize(g, color)
+            assert new == old
+            products += new is not None
+        assert products >= 300
+        assert sum(rejected) >= 10
 
     def test_layer_sizes_not_multiplying_to_n_raise_first(self, monkeypatch):
-        def unreachable(g, layer):
+        def unreachable(eid, color, layer_verts, order, dist):
             raise AssertionError("projection ran after a size mismatch")
 
-        monkeypatch.setattr(factor_ordinary, "_nearest_labels", unreachable)
+        monkeypatch.setattr(factor_ordinary, "_sweep_coords", unreachable)
         # {01} alone: layers of 2 and 6 vertices, 12 != 6
         g = make("BC", 6)
         assert coordinatize_with(g, [[(0, 1)],
@@ -256,14 +317,14 @@ class TestProductRelation:
             graphs.append(relabel(rng, product_many(factors)[0]))
         expected = [factorize(g).edge_color for g in graphs]
 
-        def tau_only(g, adj, eid, ds):
+        def tau_only(g, eid, ds):
             for x in range(g.n):
                 nbrs = g.neighbors(x)
                 for a, y in enumerate(nbrs):
                     for z in nbrs[a + 1:]:
-                        if z in adj[y] or all(w == x or w in adj[x]
-                                              for w in adj[y] & adj[z]):
-                            ds.union(eid[(x, y)], eid[(x, z)])
+                        if z in eid[y] or all(w == x or w in eid[x]
+                                              for w in eid[y].keys() & eid[z].keys()):
+                            ds.union(eid[x][y], eid[x][z])
 
         theta_runs = []
         theta_unions = factor_ordinary._theta_unions
@@ -292,12 +353,9 @@ class RecordingDisjointSet(DisjointSet):
 
 def root_pass(g: SignedGraph):
     """The edge ids and the union-find after the pass from the root alone."""
-    eid = {}
-    for idx, (u, v, _) in enumerate(g.edges):
-        eid[(u, v)] = eid[(v, u)] = idx
+    eid = edge_ids(g)
     ds = RecordingDisjointSet(g.m)
-    factor_ordinary._seed_from_root(g, [set(g.neighbors(u)) for u in range(g.n)],
-                                    eid, ds, bfs_order(g, 0)[1])
+    factor_ordinary._seed_from_root(g, eid, ds, bfs_order(g, 0)[1])
     return eid, ds
 
 
@@ -325,9 +383,9 @@ class TestRootPass:
         fallbacks = []
         square_rules = factor_ordinary._seed_square_rules
 
-        def counting(g, adj, eid, ds):
+        def counting(g, eid, ds):
             fallbacks.append(g)
-            square_rules(g, adj, eid, ds)
+            square_rules(g, eid, ds)
 
         monkeypatch.setattr(factor_ordinary, "_seed_square_rules", counting)
         graphs = parity_graphs(random.Random(47))
@@ -350,7 +408,7 @@ class TestRootPass:
             sigma = {e: cls for cls in product_relation_classes(g) for e in cls}
             for x, y in ds.joins:
                 assert sigma[edges[x]] is sigma[edges[y]]
-            fallbacks += factor_ordinary._coordinatize(g, eid, ds) is None
+            fallbacks += factor_ordinary._coordinatize(g, eid, ds, *bfs_order(g, 0)) is None
         assert len(graphs) >= 300
         assert 0 < fallbacks < len(graphs) // 4
 

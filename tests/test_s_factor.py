@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +18,26 @@ from sgw.switching import equivalent, switch
 from oracles import (
     lemma_is_s_prime,
     merge_pass_s_decompose,
+    pair_keyed_s_decompose,
     random_connected_signed_graph,
     random_signature,
     reconstruct_product,
 )
+
+
+def decompose_inputs(seeds):
+    """The graphs that the decompose benchmark's operations for ``seeds``
+    hand to s_decompose: each product or graph, switched."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    graphs = []
+    for seed in seeds:
+        for op in workloads.build("decompose", seed):
+            graph, factors, x, _ = op.inputs
+            graphs.append(switch(product_many(list(factors))[0] if factors else graph, x))
+    return graphs
 
 
 def random_s_prime(rng, n_min=2, n_max=5):
@@ -185,3 +204,23 @@ class TestNegativeSquares:
         # so the switch set leaves every base-layer vertex unswitched
         on_base = [u for u, cu in enumerate(coords) if sum(x > 0 for x in cu) <= 1]
         assert dec.switch_set.isdisjoint(on_base)
+
+
+class TestPairKeyedParity:
+    def test_matches_pair_keyed_s_decompose(self):
+        # products relabelled at random, so that the ordinary coordinates'
+        # rank is not the vertex number
+        rng = random.Random(1300)
+        graphs = [random_connected_signed_graph(rng, 2, 9) for _ in range(80)]
+        for _ in range(40):
+            parts = [random_connected_signed_graph(rng, 2, 4) for _ in range(rng.randint(2, 3))]
+            g, _ = product_many(parts)
+            perm = rng.sample(range(g.n), g.n)
+            g = SignedGraph(g.n, [(perm[u], perm[v], s) for u, v, s in g.edges])
+            g = switch(g, [v for v in range(g.n) if rng.random() < 0.5])
+            signs = SignedGraph(g.n, random_signature(rng, g.underlying_edges()))
+            graphs += [g, flip_one(rng, g), signs]
+        assert len(graphs) == 200
+        graphs += decompose_inputs((1, 2, 3))
+        for g in graphs:
+            assert s_decompose(g) == pair_keyed_s_decompose(g)
