@@ -12,6 +12,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import (
+    BadParameterError,
     BadSignError,
     DuplicateEdgeError,
     LoopEdgeError,
@@ -27,12 +28,16 @@ class SignedGraph:
 
     The edge list is kept in canonical order (u < v, lexicographic) so that
     serialized output is reproducible.  Adjacency lists are derived with
-    neighbors sorted ascending.
+    neighbors sorted ascending.  The pair-to-sign map behind ``has_edge`` and
+    ``sign``, and the hash, are built on first use.
     """
 
+    # ``_sign`` and ``_hash`` stay empty until has_edge/sign/__hash__ fill them
     __slots__ = ("n", "edges", "adjacency", "_sign", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
+        if type(n) is not int or n < 0:
+            raise BadParameterError(f"vertex count {n!r} is not a non-negative int")
         canon = []
         seen = set()
         for u, v, s in edges:
@@ -40,7 +45,7 @@ class SignedGraph:
                 raise LoopEdgeError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise BadSignError(f"sign {s!r} on edge ({u},{v})")
             if u > v:
                 u, v = v, u
@@ -49,20 +54,38 @@ class SignedGraph:
             seen.add((u, v))
             canon.append((u, v, s))
         canon.sort()
+        self._build(n, canon)
+
+    @classmethod
+    def _canonical(cls, n: int, edges: Sequence[Edge]) -> "SignedGraph":
+        """Graph on edges that are already canonical, with no validation.
+
+        ``edges`` must be what ``__init__`` would have made of them: every
+        (u, v, s) has ints 0 <= u < v < n and s the int 1 or -1, no pair
+        twice, the whole sorted.  Only functions that derive the edges
+        from graphs that already hold these invariants may call it:
+        ``switching.switch`` (new signs, same pairs) and
+        ``product.product_many`` (distinct copies of factor edges, sorted).
+        """
+        g = object.__new__(cls)
+        g._build(n, edges)
+        return g
+
+    def _build(self, n: int, edges: Sequence[Edge]) -> None:
+        # sorted edges reach each vertex's lower neighbors first, then its
+        # higher ones, both ascending: the lists come out sorted
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        sign = {}
-        for u, v, s in canon:
+        for u, v, s in edges:
             adj[u].append((v, s))
             adj[v].append((u, s))
-            sign[(u, v)] = s
-            sign[(v, u)] = s
-        for lst in adj:
-            lst.sort()
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
-        object.__setattr__(self, "_sign", sign)
-        object.__setattr__(self, "_hash", hash((n, tuple(canon))))
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a loaded graph is validated again and
+        # the lazy slots are never stored
+        return SignedGraph, (self.n, self.edges)
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedGraph is immutable")
@@ -73,14 +96,33 @@ class SignedGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    # The lazy slots are read in try blocks, not through __getattr__: a
+    # class with __getattr__ makes every attribute read of its instances,
+    # n and adjacency included, take CPython's slow path.
+
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._sign
+        try:
+            return (u, v) in self._sign
+        except AttributeError:
+            return (u, v) in self._fill_sign()
 
     def sign(self, u: int, v: int) -> int:
         try:
-            return self._sign[(u, v)]
+            sign = self._sign
+        except AttributeError:
+            sign = self._fill_sign()
+        try:
+            return sign[(u, v)]
         except KeyError:
             raise NotAWalkError(f"({u},{v}) is not an edge") from None
+
+    def _fill_sign(self) -> dict[tuple[int, int], int]:
+        sign = {}
+        for u, v, s in self.edges:
+            sign[(u, v)] = s
+            sign[(v, u)] = s
+        object.__setattr__(self, "_sign", sign)
+        return sign
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return tuple(v for v, _ in self.adjacency[u])
@@ -108,7 +150,12 @@ class SignedGraph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, self.edges))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, m={self.m}, neg={len(self.negative_edges())})"

@@ -57,8 +57,11 @@ def product_many(gs: Sequence[SignedGraph]) -> tuple[SignedGraph, CoordinateSyst
         for u, v, s in f.edges:
             us, vs = u * stride, v * stride
             edges.extend((base + us, base + vs, s) for base in bases)
+    # each copy keeps u < v, and no two copies share a pair: sorted, the
+    # edges are canonical
+    edges.sort()
     coords = tuple(itertools.product(*(range(f.n) for f in gs)))
-    return SignedGraph(n, edges), CoordinateSystem(tuple(gs), coords)
+    return SignedGraph._canonical(n, edges), CoordinateSystem(tuple(gs), coords)
 
 
 def layer(cs: CoordinateSystem, i: int, anchor: int):

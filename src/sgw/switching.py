@@ -28,7 +28,8 @@ class CycleClass(enum.Enum):
 def switch(g: SignedGraph, x: Iterable[int]) -> SignedGraph:
     """Flip the sign of every edge with exactly one endpoint in ``x``."""
     xs = frozenset(x)
-    return SignedGraph(
+    # new signs on the same sorted pairs: the edges stay canonical
+    return SignedGraph._canonical(
         g.n,
         [
             (u, v, -s if (u in xs) != (v in xs) else s)

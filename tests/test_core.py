@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +13,7 @@ from sgw.core import (
     walk_sign,
 )
 from sgw.errors import (
+    BadParameterError,
     BadSignError,
     DuplicateEdgeError,
     LoopEdgeError,
@@ -68,6 +72,16 @@ class TestConstruction:
         with pytest.raises(BadSignError):
             SignedGraph(2, [(0, 1, "+")])
 
+    @pytest.mark.parametrize("n", [-2, -1, 2.0, True, "3", None])
+    def test_vertex_count_must_be_non_negative_int(self, n):
+        with pytest.raises(BadParameterError):
+            SignedGraph(n, [])
+
+    @pytest.mark.parametrize("s", [1.0, -1.0, True, False, 2])
+    def test_sign_must_be_int_one_or_minus_one(self, s):
+        with pytest.raises(BadSignError):
+            SignedGraph(2, [(0, 1, s)])
+
     def test_immutable(self):
         g = build(2, [(0, 1, 1)])
         with pytest.raises(AttributeError):
@@ -79,6 +93,63 @@ class TestConstruction:
         g1 = SignedGraph(n, edges)
         g2 = SignedGraph(n, list(reversed([(v, u, s) for u, v, s in edges])))
         assert g1 == g2 and hash(g1) == hash(g2)
+
+    @given(edge_lists())
+    def test_adjacency_lists_every_edge_ascending(self, data):
+        n, edges = data
+        g = SignedGraph(n, edges)
+        expected = [[] for _ in range(n)]
+        for u, v, s in edges:
+            expected[u].append((v, s))
+            expected[v].append((u, s))
+        assert g.adjacency == tuple(tuple(sorted(a)) for a in expected)
+
+
+class TestPickling:
+    """Copies and pickles go through __init__, whether or not the lazy sign
+    map and hash have been built."""
+
+    def _graphs(self):
+        yield build(0, [])
+        yield build(4, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, -1)])
+        yield build(5, [(3, 4, -1)])
+
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_round_trips(self, fill):
+        for g in self._graphs():
+            if fill:
+                hash(g)
+                g.has_edge(0, 1)
+            for h in (
+                pickle.loads(pickle.dumps(g)),
+                copy.deepcopy(g),
+                copy.copy(g),
+            ):
+                assert h == g and hash(h) == hash(g)
+                assert h.adjacency == g.adjacency
+                assert all(
+                    h.has_edge(u, v) == g.has_edge(u, v)
+                    for u in range(g.n)
+                    for v in range(g.n)
+                )
+                with pytest.raises(AttributeError):
+                    h.n = 1
+
+    def test_pickle_stores_only_the_edges(self):
+        g = build(3, [(0, 1, 1), (1, 2, -1)])
+        before = pickle.dumps(g)
+        g.sign(0, 1)
+        hash(g)
+        assert pickle.dumps(g) == before
+
+    def test_loading_validates_again(self):
+        # a pickle of a graph with an edge out of range is refused on load
+        class Forged:
+            def __reduce__(self):
+                return SignedGraph, (2, ((0, 2, 1),))
+
+        with pytest.raises(VertexOutOfRangeError):
+            pickle.loads(pickle.dumps(Forged()))
 
 
 class TestAccessors:

@@ -1,11 +1,16 @@
 """The one switching-flag pass and the k-ary product against the separate
 searches and the pairwise fold they replace: the same outputs, byte for
-byte, including the canonical representative and the witness walks."""
+byte, including the canonical representative and the witness walks.  The
+graphs that switch, canonical_form and product_many build without
+validation against the graphs __init__ builds from the same edges."""
 
 import random
 from itertools import combinations
 
+import pytest
+
 from sgw.core import SignedGraph
+from sgw.errors import NotAWalkError
 from sgw.homomorphism import _greedy_clique, underlying_chromatic_lower_bound
 from sgw.product import cartesian_product, product_many
 from sgw.switching import canonical_form, equivalent, is_balanced, switch
@@ -57,3 +62,71 @@ def test_matches_the_separate_searches_and_the_fold():
             _same_product(product_many(factors), fold_product_many(factors))
             a, b = rng.choice(small), rng.choice(small)
             _same_product(cartesian_product(a, b), pairwise_cartesian_product(a, b))
+
+
+def _same_as_validated(g: SignedGraph):
+    """``g`` against ``SignedGraph(g.n, list(g.edges))``, accessor by accessor."""
+    ref = SignedGraph(g.n, list(g.edges))
+    assert type(g.edges) is tuple and g.edges == ref.edges
+    assert g.adjacency == ref.adjacency == tuple(
+        tuple(sorted([(v, s) for u, v, s in g.edges if u == w]
+                     + [(u, s) for u, v, s in g.edges if v == w]))
+        for w in range(g.n)
+    )
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.has_edge(u, v) == ref.has_edge(u, v)
+            if ref.has_edge(u, v):
+                assert g.sign(u, v) == ref.sign(u, v)
+            else:
+                with pytest.raises(NotAWalkError):
+                    g.sign(u, v)
+    assert hash(g) == hash(ref) and g == ref and ref == g
+
+
+def _derived_graphs(seed: int, rounds: int):
+    """Random inputs, each with its switch set and a short factor list."""
+    rng = random.Random(seed)
+    small = []  # the first graph, on 0 vertices, is one
+    for i in range(rounds):
+        g = _random_graph(rng, i % 9)
+        if g.n <= 4:
+            small.append(g)
+        x = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+        factors = [rng.choice(small) for _ in range(rng.randint(1, 3))]
+        yield g, x, factors
+
+
+def test_unvalidated_graphs_match_validated_ones():
+    for g, x, factors in _derived_graphs(1500, 400):
+        _same_as_validated(switch(g, x))
+        canon, y = canonical_form(g)
+        _same_as_validated(canon)
+        assert canon == switch(g, y)
+        _same_as_validated(product_many(factors)[0])
+    # lazy fields filled in the other order: hash first, then the sign map
+    for g, x, factors in _derived_graphs(1501, 60):
+        for h in (switch(g, x), product_many(factors)[0]):
+            assert hash(h) == hash(SignedGraph(h.n, h.edges))
+            assert all(h.sign(u, v) == s for u, v, s in h.edges)
+
+
+def test_derived_graphs_skip_validation(monkeypatch):
+    inputs = list(_derived_graphs(1502, 200))
+    built = []
+    init = SignedGraph.__init__
+
+    def counting_init(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(SignedGraph, "__init__", counting_init)
+    SignedGraph(2, [(0, 1, 1)])
+    assert built == [2]  # the counter sees __init__
+    built.clear()
+    for g, x, factors in inputs:
+        switch(g, x)
+        canonical_form(g)
+        product_many(factors)
+        cartesian_product(factors[0], factors[-1])
+    assert built == []
