@@ -118,9 +118,7 @@ def cmd_decompose(args) -> int:
         "factors": [_graph_json(f) for f in dec.factors],
         "coords": [list(c) for c in dec.coords.coords],
         "switch_set": sorted(dec.switch_set),
-        "factor_of_edge": sorted(
-            [u, v, i] for (u, v), i in dec.factor_of_edge.items()
-        ),
+        "factor_of_edge": [[u, v, i] for (u, v, _), i in zip(g.edges, dec.factor_of_edge)],
     }
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")
     if args.factors_prefix is not None:

@@ -43,8 +43,8 @@ class SignedGraph:
         for u, v, s in edges:
             if u == v:
                 raise LoopEdgeError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRangeError(f"edge ({u!r},{v!r}) needs int ids in 0..{n - 1}")
             if type(s) is not int or s not in (1, -1):
                 raise BadSignError(f"sign {s!r} on edge ({u},{v})")
             if u > v:

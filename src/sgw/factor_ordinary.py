@@ -2,9 +2,10 @@
 
 Signs are ignored here; the factors come back as all-positive SignedGraph
 values.  The approach is edge-color refinement: a union-find over edges
-is joined in up to three passes, and after each one a coordinate system
-is extracted and verified by exact reconstruction.  The first coloring
-that passes is returned.
+is joined in up to three passes, and after each one (and once inside
+the third) a coordinate system is extracted and verified by exact
+reconstruction.  The first coloring that passes is returned; its colors
+are a tuple indexed by edge id, the position of the edge in g.edges.
 
 Coordinates: for each color c, the base layer is the c-colored component
 of vertex 0, in BFS order, and a vertex's c-th coordinate is the index
@@ -57,7 +58,12 @@ coordinatizes is sigma's.
    Djokovic-Winkler relation theta.  Sigma is the closure of theta and
    tau, and theta need only relate each edge to the edges of one
    spanning tree (Feder).  Pass 2 contains tau, so the third coloring is
-   sigma and must coordinatize.  O(n * m).
+   sigma and must coordinatize.  The tree is factorize's BFS tree from
+   0, and its first deg(0) edges are the star at 0, which every sigma
+   class meets.  The coloring is tried once after the star, as its
+   joins too lie in sigma; nothing proves that the star suffices, so
+   the pass goes on over the whole tree if it does not.  One BFS per
+   tree edge: O(deg(0) * m) when the star suffices, O(n * m) otherwise.
 
 A graph of prime order is prime, as factor orders multiply to n, so it
 gets a single color without any pass.
@@ -116,7 +122,7 @@ class DisjointSet:
 class OrdinaryDecomposition:
     factors: tuple[SignedGraph, ...]  # all-positive, each with >= 1 edge
     coords: CoordinateSystem
-    edge_color: dict  # (u, v) with u < v -> factor index
+    edge_color: tuple[int, ...]  # per edge id (g.edges order): its factor index
 
 
 def factorize(g: SignedGraph) -> OrdinaryDecomposition:
@@ -133,16 +139,7 @@ def factorize(g: SignedGraph) -> OrdinaryDecomposition:
         eid[u][v] = eid[v][u] = idx
 
     ds = DisjointSet(g.m)
-    if _is_prime(g.n):  # factor orders multiply to n: one color
-        for idx in range(1, g.m):
-            ds.union(0, idx)
-        passes = [lambda: None]
-    else:
-        passes = [lambda: _seed_from_root(g, eid, ds, dist),
-                  lambda: _seed_square_rules(g, eid, ds),
-                  lambda: _theta_unions(g, eid, ds)]
-    for join in passes:
-        join()
+    for _ in _passes(g, eid, ds, order, dist):
         dec = _coordinatize(g, eid, ds, order, dist)
         if dec is not None:
             return dec
@@ -154,6 +151,21 @@ def is_prime_ordinary(g: SignedGraph) -> bool:
     if not is_connected(g):
         raise DisconnectedError("primality needs a connected graph")
     return len(factorize(g).factors) == 1
+
+
+def _passes(g, eid, ds, order, dist):
+    """Join the passes into ``ds``, yielding after each coloring to try:
+    after every pass, and inside the theta pass after the star at 0."""
+    if _is_prime(g.n):  # factor orders multiply to n: one color
+        for idx in range(1, g.m):
+            ds.union(0, idx)
+    else:
+        _seed_from_root(g, eid, ds, dist)
+        yield
+        _seed_square_rules(g, eid, ds)
+        yield
+        yield from _theta_unions(g, eid, ds, order, dist)
+    yield
 
 
 def _seed_from_root(g, eid, ds, dist):
@@ -259,8 +271,7 @@ def _coordinatize(g, eid, ds, order, dist) -> Optional[OrdinaryDecomposition]:
         raise InternalInvariantViolation("single-color layer misses vertices")
 
     cs = CoordinateSystem(tuple(factors), tuple(coords))
-    edge_color = {(u, v): c for (u, v, _s), c in zip(g.edges, color)}
-    return OrdinaryDecomposition(tuple(factors), cs, edge_color)
+    return OrdinaryDecomposition(tuple(factors), cs, tuple(color))
 
 
 def _sweep_coords(eid, color, layer_verts, order, dist):
@@ -290,22 +301,23 @@ def _sweep_coords(eid, color, layer_verts, order, dist):
     return coords
 
 
-def _theta_unions(g, eid, ds):
+def _theta_unions(g, eid, ds, order, dist):
     """Join each edge of a BFS tree with every edge theta-related to it.
 
     Edges xy and uv are theta-related iff d(x, u) + d(y, v) differs from
     d(x, v) + d(y, u), that is, iff d(., u) - d(., v) differs at x and y.
-    One BFS per vertex, taken in BFS order; a vertex's distances are kept
-    only until its last tree child has used them.  O(n * m) in all.
+    One BFS per vertex, taken in ``factorize``'s BFS order ``order`` from
+    vertex 0 with distances ``dist``; a vertex's distances are kept only
+    until its last tree child has used them.  O(n * m) in all.  Yields
+    once, after the star at vertex 0: the first deg(0) tree edges.
     """
-    order, root = bfs_order(g, 0)
-    parent = {c: next(w for w in eid[c] if root[w] == root[c] - 1)
+    parent = {c: next(w for w in eid[c] if dist[w] == dist[c] - 1)
               for c in order[1:]}
     children = Counter(parent.values())
-    dist = {0: root}
-    for c in order[1:]:
+    kept = {0: dist}
+    for i, c in enumerate(order[1:], 1):
         p = parent[c]
-        dc, dp = bfs_order(g, c)[1], dist[p]
+        dc, dp = bfs_order(g, c)[1], kept[p]
         diff = [a - b for a, b in zip(dc, dp)]
         tree_edge = eid[p][c]
         for idx, (x, y, _s) in enumerate(g.edges):
@@ -313,9 +325,11 @@ def _theta_unions(g, eid, ds):
                 ds.union(tree_edge, idx)
         children[p] -= 1
         if not children[p]:
-            del dist[p]
+            del kept[p]
         if children[c]:
-            dist[c] = dc
+            kept[c] = dc
+        if i == len(eid[0]):
+            yield
 
 
 def _is_prime(n):

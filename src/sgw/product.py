@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .core import SignedGraph
@@ -25,10 +26,10 @@ class CoordinateSystem:
     factors: tuple[SignedGraph, ...]
     coords: tuple[tuple[int, ...], ...]  # per product vertex
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "index", {c: v for v, c in enumerate(self.coords)}
-        )
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Product vertex of each coordinate tuple, built on first use."""
+        return {c: v for v, c in enumerate(self.coords)}
 
     def vertex(self, coord: Sequence[int]) -> int:
         return self.index[tuple(coord)]

@@ -60,7 +60,7 @@ class SDecomposition:
     factors: tuple[SignedGraph, ...]
     coords: CoordinateSystem
     switch_set: frozenset  # applied to the input to realize the product signature
-    factor_of_edge: dict  # (u, v) with u < v -> final merged color index
+    factor_of_edge: tuple[int, ...]  # per edge id (g.edges order): its s-prime factor
 
 
 def s_decompose(g: SignedGraph) -> SDecomposition:
@@ -73,8 +73,7 @@ def s_decompose(g: SignedGraph) -> SDecomposition:
     classes = [[j for j, r in enumerate(root) if r == c] for c in roots]
     class_of = [roots.index(r) for r in root]
     coords = tuple(zip(*(_mixed_radix(ocols, osizes, members) for members in classes)))
-    # od.edge_color lists the edges in g.edges order
-    edge_class = [class_of[c] for c in od.edge_color.values()]
+    edge_class = tuple(class_of[c] for c in od.edge_color)
 
     # factor c: the input's class-c edges whose other coordinates are 0
     fsign = [{} for _ in classes]  # per factor: (a, b) and (b, a) -> sign
@@ -102,7 +101,7 @@ def s_decompose(g: SignedGraph) -> SDecomposition:
         factors=factors,
         coords=CoordinateSystem(factors, coords),
         switch_set=x,
-        factor_of_edge=dict(zip(od.edge_color, edge_class)),
+        factor_of_edge=edge_class,
     )
 
 
@@ -138,7 +137,7 @@ def _joined_colors(g: SignedGraph, od) -> list[int]:
         at[r] = u
     sign = [dict(adj) for adj in g.adjacency]  # per vertex: neighbor -> sign
     above = [[] for _ in range(g.n)]  # per vertex: its edges to higher rank
-    for (u, v, s), c in zip(g.edges, od.edge_color.values()):
+    for (u, v, s), c in zip(g.edges, od.edge_color):
         if rank[u] < rank[v]:
             above[u].append((rank[v], v, c, s))
         else:

@@ -6,6 +6,7 @@ algorithms so that agreement is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -23,16 +24,26 @@ from sgw.errors import (
     OrderTooLargeError,
     TooLargeError,
 )
-from sgw.factor_ordinary import (
-    DisjointSet,
-    OrdinaryDecomposition,
-    _is_prime,
-    factorize,
-)
+from sgw.factor_ordinary import DisjointSet, OrdinaryDecomposition, _is_prime
+from sgw.factor_ordinary import factorize as _factorize
 from sgw.homomorphism import ISOMORPHISM_ORDER_CAP, TARGET_ORDER_CAP
 from sgw.product import CoordinateSystem
 from sgw.s_factor import SDecomposition
 from sgw.switching import _switch_flags, canonical_form, equivalent, switch
+
+
+def pair_keyed(g: SignedGraph, colors) -> dict:
+    """Per-edge values in g.edges order, such as ``edge_color`` or
+    ``factor_of_edge``, keyed by vertex pairs as the references here
+    read and return them."""
+    return dict(zip(g.underlying_edges(), colors))
+
+
+def factorize(g: SignedGraph) -> OrdinaryDecomposition:
+    """The library's factorization with a pair-keyed ``edge_color``, the
+    form that the frozen references below were written against."""
+    od = _factorize(g)
+    return dataclasses.replace(od, edge_color=pair_keyed(g, od.edge_color))
 
 
 def random_signature(rng: random.Random, edges):
@@ -54,6 +65,13 @@ def random_connected_signed_graph(
         if rng.random() < 0.4:
             pairs.add(uv)
     return SignedGraph(n, random_signature(rng, sorted(pairs)))
+
+
+def wagner() -> SignedGraph:
+    """The Mobius ladder M8 (the Wagner graph): an 8-cycle and its four
+    long diagonals."""
+    return SignedGraph(8, [(i, i + 1, 1) for i in range(7)] + [(0, 7, 1)]
+                       + [(i, i + 4, 1) for i in range(4)])
 
 
 def switched_signs(g: SignedGraph, mask: int):

@@ -16,6 +16,7 @@ from sgw.cli import (
 )
 from sgw.constructions import make
 from sgw.core import build
+from sgw.product import product_many
 from sgw.errors import ParseError
 from sgw.homomorphism import SignedHomomorphism, validate
 from sgw.schemas import (
@@ -25,6 +26,8 @@ from sgw.schemas import (
     DECOMPOSITION_SCHEMA,
     SWITCH_SET_SCHEMA,
 )
+
+from oracles import pair_keyed_s_decompose, wagner
 
 
 def write_graph(tmp_path, name, g):
@@ -85,6 +88,23 @@ class TestCommands:
         for i in range(2):
             f = parse_graph((tmp_path / f"factor_{i}.sg").read_text())
             assert f.n == 2 and f.negative_edges() == ()
+
+    @pytest.mark.parametrize("name", ["m8c5", "uc83", "c84", "q10"])
+    def test_decompose_json_matches_pair_keyed_oracle(self, tmp_path, name):
+        # the console-script smoke graphs
+        parts = {"m8c5": [wagner(), make("BC", 5)], "uc83": [make("UC", 8)] * 3,
+                 "c84": [make("BC", 8)] * 4, "q10": [make("K_plus", 2)] * 10}[name]
+        g, _ = product_many(parts)
+        out = tmp_path / "dec.json"
+        assert main(["decompose", write_graph(tmp_path, "g.sg", g), "-o", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        jsonschema.validate(payload, DECOMPOSITION_SCHEMA)
+        old = pair_keyed_s_decompose(g)
+        assert payload["factor_of_edge"] == [[u, v, i] for (u, v), i
+                                             in sorted(old.factor_of_edge.items())]
+        assert payload["coords"] == [list(c) for c in old.coords.coords]
+        assert payload["switch_set"] == sorted(old.switch_set)
+        assert len(payload["factors"]) == len(parts)
 
     def test_chi_uc4_prints_4(self, tmp_path, capsys):
         path = write_graph(tmp_path, "uc4.sg", make("UC", 4))

@@ -66,6 +66,14 @@ class TestConstruction:
         with pytest.raises(VertexOutOfRangeError):
             SignedGraph(2, [(-1, 0, 1)])
 
+    @pytest.mark.parametrize("edge", [(False, True, 1), (0, True, 1),
+                                      (0.0, 1, 1), ("0", 1, 1)])
+    def test_non_int_vertex_ids_rejected(self, edge):
+        # a bool compares equal to its int, and a float or string would
+        # reach the adjacency build; each is refused as out of range
+        with pytest.raises(VertexOutOfRangeError):
+            SignedGraph(2, [edge])
+
     def test_bad_sign_rejected(self):
         with pytest.raises(BadSignError):
             SignedGraph(2, [(0, 1, 0)])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -16,10 +17,12 @@ from oracles import (
     brute_force_is_prime,
     nearest_layer_positions,
     nearest_projection_coords,
+    pair_keyed,
     product_relation_classes,
     random_connected_signed_graph,
     random_signature,
     reconstruct_product,
+    wagner,
 )
 
 
@@ -86,8 +89,10 @@ def both_coordinatize(g: SignedGraph, color):
     pair_eid = {}
     for idx, (u, v, _) in enumerate(g.edges):
         pair_eid[(u, v)] = pair_eid[(v, u)] = idx
-    return (factor_ordinary._coordinatize(g, edge_ids(g), ds, *bfs_order(g, 0)),
-            oracles._coordinatize(g, pair_eid, ds))
+    new = factor_ordinary._coordinatize(g, edge_ids(g), ds, *bfs_order(g, 0))
+    if new is not None:
+        new = dataclasses.replace(new, edge_color=pair_keyed(g, new.edge_color))
+    return new, oracles._coordinatize(g, pair_eid, ds)
 
 
 class TestDisjointSet:
@@ -123,8 +128,8 @@ class TestFactorize:
     def test_edge_color_partitions_edges(self):
         g, _ = product_many([make("BC", 3), make("K_plus", 2)])
         dec = factorize(g)
-        assert set(dec.edge_color) == set(g.underlying_edges())
-        assert set(dec.edge_color.values()) == set(range(len(dec.factors)))
+        assert type(dec.edge_color) is tuple and len(dec.edge_color) == g.m
+        assert set(dec.edge_color) == set(range(len(dec.factors)))
 
     def test_coordinates_reconstruct_underlying(self):
         rng = random.Random(13)
@@ -183,7 +188,7 @@ class TestCoordinates:
         for g in graphs:
             dec = factorize(g)
             assert list(dec.coords.coords) == nearest_projection_coords(
-                g, dec.edge_color)
+                g, pair_keyed(g, dec.edge_color))
 
     def test_nearest_labels_match_oracle_on_any_layer(self):
         # arbitrary vertex sets, so ties are common
@@ -227,7 +232,7 @@ class TestCoordinates:
                    for _ in range(300)]
         colorings = [(make("BC", 6), [0, 1, 1, 1, 0, 1])]  # the tie above
         for g in graphs:
-            sigma = list(factorize(g).edge_color.values())
+            sigma = list(factorize(g).edge_color)
             k = max(sigma) + 1
             parts = rng.randint(1, 4)
             colorings.append((g, [rng.randrange(parts) for _ in range(g.m)]))
@@ -282,7 +287,7 @@ class TestProductRelation:
         for g in (circulant(31, 7), circulant(101, 5), make("K_plus", 5)):
             dec = factorize(g)
             assert [f.n for f in dec.factors] == [g.n]
-            assert set(dec.edge_color.values()) == {0}
+            assert set(dec.edge_color) == {0}
 
     def test_coloring_is_feder_product_relation(self):
         rng = random.Random(43)
@@ -301,7 +306,7 @@ class TestProductRelation:
             random_connected_signed_graph(rng, 2, 3)])[0]) for _ in range(60)]
         for g in graphs:
             classes = {}
-            for e, c in factorize(g).edge_color.items():
+            for e, c in zip(g.underlying_edges(), factorize(g).edge_color):
                 classes.setdefault(c, set()).add(e)
             assert {frozenset(cls) for cls in classes.values()} == product_relation_classes(g)
 
@@ -329,9 +334,9 @@ class TestProductRelation:
         theta_runs = []
         theta_unions = factor_ordinary._theta_unions
 
-        def counting(g, eid, ds):
+        def counting(g, eid, ds, order, dist):
             theta_runs.append(g)
-            theta_unions(g, eid, ds)
+            yield from theta_unions(g, eid, ds, order, dist)
 
         monkeypatch.setattr(factor_ordinary, "_seed_from_root", lambda *args: None)
         monkeypatch.setattr(factor_ordinary, "_seed_square_rules", tau_only)
@@ -339,6 +344,62 @@ class TestProductRelation:
         for g, edge_color in zip(graphs, expected):
             assert factorize(g).edge_color == edge_color
         assert len(theta_runs) > len(graphs) // 2
+
+
+class TestThetaStar:
+    @pytest.mark.parametrize("m", [3, 16, 128])
+    def test_theta_stops_at_the_star(self, monkeypatch, m):
+        # the square rules keep M8's rungs apart from its rim, so theta
+        # runs, and its joins at the star at 0 already give sigma: one
+        # BFS for factorize, then one per neighbor of 0, not n
+        runs = []
+
+        def counting(g, root):
+            runs.append(root)
+            return bfs_order(g, root)
+
+        monkeypatch.setattr(factor_ordinary, "bfs_order", counting)
+        g, _ = product_many([wagner(), make("BC", m)])
+        dec = factorize(g)
+        assert sorted(f.n for f in dec.factors) == sorted([8, m])
+        assert runs == [0] + list(g.neighbors(0))
+        if m <= 16:
+            old = all_corners_factorize(g)
+            assert pair_keyed(g, dec.edge_color) == old.edge_color
+            assert dec.coords.coords == old.coords.coords
+
+    def test_full_theta_when_the_star_is_refused(self, monkeypatch):
+        # nothing proves that the star suffices: with its coloring never
+        # tried, the rest of the tree must still give sigma
+        refused = []
+        theta_unions = factor_ordinary._theta_unions
+
+        def refusing(g, eid, ds, order, dist):
+            steps = theta_unions(g, eid, ds, order, dist)
+            next(steps)  # the star is joined, and its coloring skipped
+            refused.append(g)
+            yield from steps
+
+        monkeypatch.setattr(factor_ordinary, "_theta_unions", refusing)
+        rng = random.Random(67)
+
+        def twisted_prism():  # of a randomly signed cycle
+            n = rng.randint(3, 7)
+            cycle = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+            return relabel(rng, signed_prism(build(n, random_signature(rng, cycle))))
+
+        graphs = [product_many([wagner(), make("BC", m)])[0] for m in (3, 4, 5)]
+        graphs += [twisted_prism() for _ in range(60)]
+        graphs += [relabel(rng, product_many([
+            twisted_prism(), random_connected_signed_graph(rng, 2, 3)])[0]) for _ in range(40)]
+        graphs += [relabel(rng, product_many([
+            wagner(), random_connected_signed_graph(rng, 2, 4)])[0]) for _ in range(30)]
+        for g in graphs:
+            new, old = factorize(g), all_corners_factorize(g)
+            assert pair_keyed(g, new.edge_color) == old.edge_color
+            assert new.coords.coords == old.coords.coords
+            assert new.factors == old.factors
+        assert len(refused) >= 50
 
 
 class RecordingDisjointSet(DisjointSet):
@@ -391,7 +452,7 @@ class TestRootPass:
         graphs = parity_graphs(random.Random(47))
         for g in graphs:
             new, old = factorize(g), all_corners_factorize(g)
-            assert new.edge_color == old.edge_color
+            assert pair_keyed(g, new.edge_color) == old.edge_color
             assert new.coords.coords == old.coords.coords
             assert new.factors == old.factors
         assert len(graphs) >= 1500
@@ -447,9 +508,9 @@ class TestPrimalityOracle:
         merges = []
         theta_unions = factor_ordinary._theta_unions
 
-        def counting(g, eid, ds):
+        def counting(g, eid, ds, order, dist):
             merges.append(g)
-            theta_unions(g, eid, ds)
+            yield from theta_unions(g, eid, ds, order, dist)
 
         monkeypatch.setattr(factor_ordinary, "_theta_unions", counting)
         rng = random.Random(37)

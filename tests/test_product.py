@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -6,7 +7,10 @@ from sgw.constructions import make
 from sgw.core import build
 from sgw.errors import EmptyListError, IndexOutOfRangeError
 from sgw.homomorphism import signed_isomorphic
+from sgw.s_factor import s_decompose
+from sgw.factor_ordinary import factorize
 from sgw.product import (
+    CoordinateSystem,
     cartesian_product,
     layer,
     product_many,
@@ -77,6 +81,22 @@ class TestProductMany:
     def test_empty_rejected(self):
         with pytest.raises(EmptyListError):
             product_many([])
+
+
+class TestCoordinateSystem:
+    def test_index_is_built_on_first_read(self):
+        g, cs = product_many([make("BC", 3), make("K_plus", 2)])
+        assert all("index" not in vars(c)
+                   for c in (cs, factorize(g).coords, s_decompose(g).coords))
+        same = CoordinateSystem(cs.factors, cs.coords)
+        assert cs == same and hash(cs) == hash(same)
+        assert pickle.loads(pickle.dumps(cs)) == cs
+        assert "index" not in vars(cs)
+        assert cs.vertex((2, 1)) == 5
+        assert vars(cs)["index"] == {c: v for v, c in enumerate(cs.coords)}
+        assert cs == same and hash(cs) == hash(same)
+        loaded = pickle.loads(pickle.dumps(cs))
+        assert loaded == cs and loaded.vertex([1, 0]) == 2
 
 
 class TestLayersAndProjection:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import random
 import sys
@@ -18,6 +19,7 @@ from sgw.switching import equivalent, switch
 from oracles import (
     lemma_is_s_prime,
     merge_pass_s_decompose,
+    pair_keyed,
     pair_keyed_s_decompose,
     random_connected_signed_graph,
     random_signature,
@@ -88,8 +90,8 @@ class TestSDecompose:
     def test_factor_of_edge_covers_all_edges(self):
         g, _ = product_many([make("UC", 3), make("BC", 4)])
         dec = s_decompose(g)
-        assert set(dec.factor_of_edge) == set(g.underlying_edges())
-        assert set(dec.factor_of_edge.values()) == set(range(len(dec.factors)))
+        assert type(dec.factor_of_edge) is tuple and len(dec.factor_of_edge) == g.m
+        assert set(dec.factor_of_edge) == set(range(len(dec.factors)))
 
     def test_factors_are_s_prime(self):
         rng = random.Random(31)
@@ -178,7 +180,7 @@ class TestNegativeSquares:
         for g in graphs:
             dec, old = s_decompose(g), merge_pass_s_decompose(g)
             assert dec.coords.coords == old.coords.coords
-            assert dec.factor_of_edge == old.factor_of_edge
+            assert pair_keyed(g, dec.factor_of_edge) == old.factor_of_edge
             assert len(dec.factors) == len(old.factors)
             assert is_s_prime(g) == (len(old.factors) == 1)
             for f, f_old in zip(dec.factors, old.factors):
@@ -223,4 +225,6 @@ class TestPairKeyedParity:
         assert len(graphs) == 200
         graphs += decompose_inputs((1, 2, 3))
         for g in graphs:
-            assert s_decompose(g) == pair_keyed_s_decompose(g)
+            dec = s_decompose(g)
+            assert dataclasses.replace(
+                dec, factor_of_edge=pair_keyed(g, dec.factor_of_edge)) == pair_keyed_s_decompose(g)
