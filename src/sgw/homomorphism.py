@@ -24,6 +24,19 @@ order and also answers ``signed_isomorphic``; it finds one automorphism
 per coset along a stabilizer chain and never the whole group.  An
 unbalanced source is refuted against a balanced target without search.
 
+On a failure the search backjumps (forward checking with
+conflict-directed backjumping, FC-CBJ; Prosser, Computational
+Intelligence 9, 1993).  Every vertex records the stack depths whose
+literals narrowed its domain; a literal that wipes out a neighbour's
+domain blames that neighbour's narrowers, and a vertex that runs out of
+literals blames them together with its own narrowers, then returns
+straight to the deepest depth blamed.  The depths in between played no
+part in the failure, so their remaining subtrees hold no solution and
+are skipped.  The search visits a subset of the nodes of chronological
+backtracking and finds the same first solution; the symmetry pruning
+needs no term in the blame (see ``_search``).  On the order-4
+refutation of BC5□UC5, K4- falls in 3 turns instead of 1,732.
+
 The search is iterative, with an explicit stack, so its depth is not
 bounded by Python's recursion limit.  It is also resumable: it pauses
 after every turn of g.n + 1 nodes (one backtrack-free descent) and
@@ -391,18 +404,33 @@ def _search_turns(g: SignedGraph, h: SignedGraph):
 
 
 def _search(g, order, allowed, full, reps):
-    """Backtracking with forward checking over literal bitmask domains.
+    """Forward checking with conflict-directed backjumping (FC-CBJ) over
+    literal bitmask domains.
 
     Variables are chosen dynamically, smallest domain first, ties to the
     lowest BFS position (the root is forced first); forward checking
     prunes every unassigned neighbor on each assignment, so domains
     always reflect all assigned neighbors.  ``bysize[s]`` is a bitmask of
     the positions off the stack whose domain has s literals, so the next
-    variable is the lowest bit of the first non-empty bucket and a node
+    variable is the lowest mark of the first non-empty bucket and a node
     costs O(degree + 2 h.n) bitmask operations, not O(n).  The buckets
     are updated lazily: only a literal that survives forward checking
     moves its narrowed neighbors between buckets, and backtracking over
     it moves them back, so a wiped-out literal costs nothing extra.
+
+    Backjumping (Prosser 1993): ``narrowed[j]`` is the bitmask of the
+    stack depths whose literals narrowed position j's domain, and each
+    frame carries a conflict set, a bitmask of depths above it.  When a
+    literal wipes out position j, the frame's set takes ``narrowed[j]``:
+    those literals alone leave j no literal.  When a frame runs out of
+    literals it also takes its own ``narrowed``, which explains every
+    literal missing from its domain; the literals at the depths of the
+    set then admit no solution, whatever the depths between them hold.
+    So the search pops back to the deepest depth in the set, skipping
+    the subtrees of the depths in between, which hold no solution, and
+    merges the rest of the set into that frame.  An empty set refutes
+    the component at once.  The nodes visited are a subset of those of
+    chronological backtracking, and the first solution is the same.
 
     A variable tries only ``reps[T]`` of its domain, one literal per orbit
     of the target symmetries that fix every literal on the path, T being
@@ -411,29 +439,40 @@ def _search(g, order, allowed, full, reps):
     literal onto the subtree under its orbit's least literal, which is
     tried first: the search visits a subset of the nodes of the search
     without them and finds the same first solution.  Once ``reps[T]`` is
-    the full mask the rest of the path costs nothing extra.
+    the full mask the rest of the path costs nothing extra.  The pruning
+    needs no term in the conflict sets.  A literal skipped as a
+    non-representative is the image of a tried one under an element of
+    G_T, the stabilizer of T, and every element of G_T fixes every
+    literal on the path; so it maps the tried literal's nogood, the
+    literals at the depths of its conflict set, onto the skipped
+    literal's, with the same depths.  The forward-checked domains are
+    G_T-invariant, being cut by ``allowed`` masks of literals G_T fixes,
+    so a skipped literal's representative is in the domain too.
 
     The search is iterative: ``stack`` holds one [variable, untried
     literals, undo list of the literal being tried, T above it or None
-    once the symmetries are trivial] frame per assigned variable plus the one
-    being tried.  A generator: it yields None after every turn of g.n + 1
-    nodes and returns the {vertex: literal} map, or None.
+    once the symmetries are trivial, conflict set, depth as a bit] frame
+    per assigned variable plus the one being tried.  A generator: it
+    yields None after every turn of g.n + 1 nodes and returns the
+    {vertex: literal} map, or None.
     """
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
-    nbrs = [[(pos[w], s) for w, s in g.adjacency[v] if w in pos] for v in order]
+    # ``order`` is a whole component, so it holds every neighbour
+    nbrs = [[(pos[w], s) for w, s in g.adjacency[v]] for v in order]
     domains = [full] * n
+    narrowed = [0] * n  # depths whose literals narrowed each domain
     lits = [-1] * n
     width = full.bit_length()
     bysize = [0] * (width + 1)
     bysize[width] = (1 << n) - 2  # every position but the root
     turn = g.n + 1
     root = reps[0]
-    stack = [[0, root, (), 0 if root != full else None]]
+    stack = [[0, root, (), 0 if root != full else None, 0, 1]]
     left = turn - 1  # the root node
-    while stack:
+    while True:
         frame = stack[-1]
-        i, rest, undo, fixed = frame
+        i, rest, undo, fixed, conflict, mark = frame
         if lits[i] >= 0:  # the last literal survived: undo its bucket moves
             lits[i] = -1
             for j, old in undo:
@@ -441,12 +480,29 @@ def _search(g, order, allowed, full, reps):
                 bysize[domains[j].bit_count()] ^= bit
                 bysize[old.bit_count()] |= bit
                 domains[j] = old
+                narrowed[j] ^= mark
         else:
             for j, old in undo:
                 domains[j] = old
+                narrowed[j] ^= mark
         if not rest:
             stack.pop()
             bysize[domains[i].bit_count()] |= 1 << i
+            conflict |= narrowed[i]
+            if not conflict:
+                return None
+            back = conflict.bit_length() - 1
+            while len(stack) > back + 1:  # jump over frames with no say
+                i, _, undo, _, _, mark = stack.pop()
+                lits[i] = -1
+                for j, old in undo:
+                    bit = 1 << j
+                    bysize[domains[j].bit_count()] ^= bit
+                    bysize[old.bit_count()] |= bit
+                    domains[j] = old
+                    narrowed[j] ^= mark
+                bysize[domains[i].bit_count()] |= 1 << i
+            stack[back][4] |= conflict ^ (1 << back)
             continue
         low = rest & -rest
         lit = low.bit_length() - 1
@@ -459,10 +515,12 @@ def _search(g, order, allowed, full, reps):
             old = domains[j]
             new = old & allowed[s][lit]
             if new != old:
+                if not new:  # wiped out by j's narrowers and this literal
+                    frame[4] = conflict | narrowed[j]
+                    break
                 undo.append((j, old))
                 domains[j] = new
-                if not new:
-                    break
+                narrowed[j] |= mark
         else:  # no domain wiped out
             lits[i] = lit
             if len(stack) == n:
@@ -487,10 +545,9 @@ def _search(g, order, allowed, full, reps):
                 fixed |= 1 << (lit >> 1)
                 below = reps[fixed]
                 if below != full:
-                    stack.append([best, domains[best] & below, (), fixed])
+                    stack.append([best, domains[best] & below, (), fixed, 0, mark << 1])
                     continue
-            stack.append([best, domains[best], (), None])
-    return None
+            stack.append([best, domains[best], (), None, 0, mark << 1])
 
 
 # -- target enumeration and chromatic number --------------------------

@@ -34,6 +34,11 @@ class CoordinateSystem:
     def vertex(self, coord: Sequence[int]) -> int:
         return self.index[tuple(coord)]
 
+    def __reduce__(self):
+        # the fields alone: a read ``index`` sits in the instance dict,
+        # and a loaded copy rebuilds it on first read
+        return CoordinateSystem, (self.factors, self.coords)
+
 
 def cartesian_product(a: SignedGraph, b: SignedGraph) -> tuple[SignedGraph, CoordinateSystem]:
     """Signed Cartesian product with row-major vertex numbering."""

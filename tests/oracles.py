@@ -312,8 +312,11 @@ def brute_force_is_prime(g: SignedGraph) -> bool:
 
 
 def scan_search(g, order, allowed, full, root_domain):
-    """Reference for ``homomorphism._search``: the same search, choosing
-    each variable by rescanning all n positions.
+    """The chronological reference for ``homomorphism._search``: the same
+    variable and value order, choosing each variable by rescanning all n
+    positions, and backtracking one depth at a time where ``_search``
+    jumps back over the depths that played no part in a failure.  Both
+    return the same map or None; ``_search`` takes no more turns.
 
     Backtracking with forward checking over literal bitmask domains.
 

@@ -18,6 +18,7 @@ from sgw.homomorphism import (
     _edge_masks,
     _LiteralOrbits,
     _search,
+    _search_turns,
     _switching_automorphism_orbits,
     _target_search_data,
     chromatic_number,
@@ -29,7 +30,7 @@ from sgw.homomorphism import (
     validate,
 )
 from sgw.product import cartesian_product
-from sgw.switching import equivalent, switch
+from sgw.switching import equivalent, is_balanced, switch
 
 from oracles import (
     backtrack_isomorphic,
@@ -225,14 +226,18 @@ class TestFindHomomorphism:
                                  make("K_plus", 3)) is None
 
     def test_bucketed_selection_matches_scan_selection(self):
-        # same arguments, same yields (turns) and the same literal map as
-        # the reference search that rescans every position per node; both
-        # run with the trivial group, so every domain is tried whole
+        # same arguments, the same literal map or None, and no more turns
+        # than the chronological reference that rescans every position per
+        # node: backjumping skips only subtrees that hold no solution, so
+        # the first solution is the same; both run with the trivial group,
+        # so every domain is tried whole
         for g, h in search_oracle_pairs():
             for args in search_calls(g, h):
                 full = args[3]  # the root domain too
-                assert drain(_search(*unpruned(*args))) == drain(
-                    scan_search(*args[:4], full))
+                turns, found = drain(_search(*unpruned(*args)))
+                scan_turns, scan_found = drain(scan_search(*args[:4], full))
+                assert found == scan_found
+                assert len(turns) <= len(scan_turns)
 
     def test_stabilizer_pruning_matches_unpruned_search(self):
         # the subtree under a literal outside its orbit's least member is a
@@ -253,6 +258,20 @@ class TestFindHomomorphism:
                     tuple(assignment[v] >> 1 for v in range(g.n)),
                     frozenset(v for v in range(g.n) if assignment[v] & 1))
                 assert validate(g, h, phi)
+
+    def test_backjumping_shortens_order_four_refutations(self):
+        # BC5□UC5 maps to no signed K4.  Chronological backtracking took
+        # 1,732 turns to refute K4- and 2,688 for the class with two
+        # negative triangles; backjumping over the depths that played no
+        # part in a wipe-out takes 3 and 1,673
+        g = cartesian_product(make("BC", 5), make("UC", 5))[0]
+        k4_minus, two_negative, balanced = enumerate_targets(4)
+        assert signed_isomorphic(k4_minus, make("K_minus", 4))
+        assert is_balanced(balanced)[0] and not is_balanced(two_negative)[0]
+        turns = list(_search_turns(g, k4_minus))
+        assert turns[-1] is False and len(turns) <= 10
+        turns = list(_search_turns(g, two_negative))
+        assert turns[-1] is False and len(turns) < 2688
 
 
 class TestEnumerateTargets:

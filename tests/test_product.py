@@ -98,6 +98,19 @@ class TestCoordinateSystem:
         loaded = pickle.loads(pickle.dumps(cs))
         assert loaded == cs and loaded.vertex([1, 0]) == 2
 
+    def test_pickle_leaves_out_the_index(self):
+        # the bytes are the same before and after the index is read, and a
+        # loaded copy builds its own on first read
+        _, cs = product_many([make("BC", 8)] * 4)
+        before = pickle.dumps(cs)
+        assert cs.vertex((1, 2, 3, 4)) == 1 * 512 + 2 * 64 + 3 * 8 + 4
+        assert pickle.dumps(cs) == before
+        loaded = pickle.loads(before)
+        assert loaded == cs and hash(loaded) == hash(cs)
+        assert "index" not in vars(loaded)
+        assert loaded.vertex((7, 0, 0, 1)) == 7 * 512 + 1
+        assert vars(loaded)["index"] == cs.index
+
 
 class TestLayersAndProjection:
     def setup_method(self):
