@@ -315,8 +315,12 @@ def scan_search(g, order, allowed, full, root_domain):
     """The chronological reference for ``homomorphism._search``: the same
     variable and value order, choosing each variable by rescanning all n
     positions, and backtracking one depth at a time where ``_search``
-    jumps back over the depths that played no part in a failure.  Both
-    return the same map or None; ``_search`` takes no more turns.
+    jumps back over the depths that played no part in a failure, and
+    without the arc consistency ``_search`` maintains around the
+    positions wiped out before.  Both decide the same.  That propagation
+    depends on the search's history, so ``_search`` may return another
+    valid map than this search's first one; it returns the same one, in
+    no more turns, on every pair of the search oracle tests.
 
     Backtracking with forward checking over literal bitmask domains.
 

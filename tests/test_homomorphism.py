@@ -52,37 +52,56 @@ def disjoint_union(a, b):
 
 
 def brute_force_hom(g, h):
-    """Exhaustive search over all maps and switch bits; ground truth."""
+    """Exhaustive search over all maps and switch bits, vertex 0 first,
+    dropping a partial map as soon as it breaks an edge; ground truth."""
     n = g.n
-    for values in range((2 * h.n) ** n):
-        lits = []
-        rest = values
-        for _ in range(n):
-            lits.append(rest % (2 * h.n))
-            rest //= 2 * h.n
-        phi = SignedHomomorphism(
-            tuple(lit // 2 for lit in lits),
-            frozenset(v for v in range(n) if lits[v] % 2),
-        )
-        if validate(g, h, phi):
-            return phi
-    return None
+    lits = []
+
+    def fits(v, t, b):
+        for u, s in g.adjacency[v]:
+            if u < v:
+                tu, bu = divmod(lits[u], 2)
+                if tu == t or not h.has_edge(tu, t) or h.sign(tu, t) != (
+                        s if bu == b else -s):
+                    return False
+        return True
+
+    def extend():
+        if len(lits) == n:
+            return SignedHomomorphism(
+                tuple(lit // 2 for lit in lits),
+                frozenset(v for v in range(n) if lits[v] % 2),
+            )
+        for lit in range(2 * h.n):
+            if fits(len(lits), *divmod(lit, 2)):
+                lits.append(lit)
+                found = extend()
+                if found is not None:
+                    return found
+                lits.pop()
+        return None
+
+    return extend()
 
 
 def search_calls(g, h):
     """The arguments ``_search_turns`` passes to ``_search``, one tuple per
     component of g (the balance shortcut aside)."""
-    allowed, reps, _ = _target_search_data(h)
+    allowed, reps, _, support = _target_search_data(h)
     full = (1 << (2 * h.n)) - 1
+    pos = [0] * g.n
     for comp in connected_components(g):
         root = max(comp, key=lambda v: (g.degree(v), -v))
-        yield g, bfs_order(g, root)[0], allowed, full, reps
+        order = bfs_order(g, root)[0]
+        for i, v in enumerate(order):
+            pos[v] = i
+        yield g, order, allowed, full, reps, support, pos
 
 
-def unpruned(g, order, allowed, full, reps):
+def unpruned(g, order, allowed, full, reps, support, pos):
     """``_search`` arguments for the trivial group: every variable tries
     its whole domain, the root included."""
-    return g, order, allowed, full, defaultdict(lambda: full)
+    return g, order, allowed, full, defaultdict(lambda: full), support, pos
 
 
 def search_oracle_pairs():
@@ -157,6 +176,44 @@ class TestFindHomomorphism:
             if found is not None:
                 assert validate(g, h, found)
 
+    def test_propagation_decides_as_brute_force(self):
+        # arc consistency runs only after a wipe-out, so sources dense
+        # enough to fail somewhere, into every target of order <= 5
+        rng = random.Random(139)
+        targets = [t for k in range(1, 6) for t in enumerate_targets(k)]
+        answers = []
+        for _ in range(30):
+            g = random_connected_signed_graph(rng, 1, 9)
+            for h in targets:
+                found = find_homomorphism(g, h)
+                expected = brute_force_hom(g, h)
+                assert (found is None) == (expected is None)
+                if found is not None:
+                    assert validate(g, h, found) and validate(g, h, expected)
+                answers.append(found is None)
+        assert min(answers.count(True), answers.count(False)) >= 100
+
+    @pytest.mark.parametrize("n,edges,target", [
+        (7, [(0, 1, 1), (0, 3, 1), (1, 2, 1), (1, 3, -1), (1, 4, -1), (2, 6, 1),
+             (3, 5, 1), (4, 5, -1), (4, 6, 1), (5, 6, -1)], 1),
+        (7, [(0, 1, -1), (0, 2, 1), (0, 3, -1), (0, 4, 1), (0, 6, -1), (1, 5, 1),
+             (2, 3, -1), (2, 5, -1), (2, 6, 1), (3, 4, 1), (4, 6, 1), (5, 6, -1)], 5),
+        (7, [(0, 1, -1), (0, 3, -1), (0, 6, -1), (1, 2, -1), (1, 3, 1), (1, 4, 1),
+             (1, 5, -1), (2, 3, -1), (2, 4, -1), (2, 6, -1), (3, 5, -1), (4, 6, 1),
+             (5, 6, 1)], 3),
+    ], ids=["wipe_out_a", "wipe_out_b", "revision"])
+    def test_blame_covers_revisions(self, n, edges, target):
+        # satisfiable pairs that the search refutes if a revision's wipe-out
+        # leaves the revising neighbour's narrowers out of the blame (the
+        # first two), or if a revision adds only the current depth to the
+        # revised position's narrowers; random pairs hit either case about
+        # once in 10^5
+        g = build(n, edges)
+        h = enumerate_targets(5)[target]
+        found = find_homomorphism(g, h)
+        assert brute_force_hom(g, h) is not None
+        assert found is not None and validate(g, h, found)
+
     def test_disconnected_source(self):
         g = build(4, [(0, 1, 1), (2, 3, -1)])
         (h,) = enumerate_targets(2)  # the negative edge needs a switch
@@ -228,9 +285,10 @@ class TestFindHomomorphism:
     def test_bucketed_selection_matches_scan_selection(self):
         # same arguments, the same literal map or None, and no more turns
         # than the chronological reference that rescans every position per
-        # node: backjumping skips only subtrees that hold no solution, so
-        # the first solution is the same; both run with the trivial group,
-        # so every domain is tried whole
+        # node: backjumping skips only subtrees that hold no solution, and
+        # arc consistency removes only literals that extend to none; that
+        # the map is the same is no theorem but holds on all these pairs.
+        # Both run with the trivial group, so every domain is tried whole
         for g, h in search_oracle_pairs():
             for args in search_calls(g, h):
                 full = args[3]  # the root domain too
@@ -263,7 +321,8 @@ class TestFindHomomorphism:
         # BC5□UC5 maps to no signed K4.  Chronological backtracking took
         # 1,732 turns to refute K4- and 2,688 for the class with two
         # negative triangles; backjumping over the depths that played no
-        # part in a wipe-out takes 3 and 1,673
+        # part in a wipe-out took 3 and 1,673, and arc consistency around
+        # the vertices wiped out before takes 2 and 57
         g = cartesian_product(make("BC", 5), make("UC", 5))[0]
         k4_minus, two_negative, balanced = enumerate_targets(4)
         assert signed_isomorphic(k4_minus, make("K_minus", 4))
@@ -271,7 +330,17 @@ class TestFindHomomorphism:
         turns = list(_search_turns(g, k4_minus))
         assert turns[-1] is False and len(turns) <= 10
         turns = list(_search_turns(g, two_negative))
-        assert turns[-1] is False and len(turns) < 2688
+        assert turns[-1] is False and len(turns) <= 100
+
+    @pytest.mark.parametrize("left,right", [
+        (("BC", 7), ("UC", 5)), (("UC", 7), ("BC", 5)), (("UC", 5), ("BC", 7)),
+    ], ids=["BC7xUC5", "UC7xBC5", "UC5xBC7"])
+    def test_length_seven_products_refute_order_four(self, left, right):
+        # each took 10-37 s with backjumping alone
+        g = cartesian_product(make(*left), make(*right))[0]
+        cert = chromatic_number(g)
+        assert cert.k == 5 and validate(g, cert.target, cert.hom)
+        assert cert.lower_bound_evidence["exhausted_orders"][4] == 3
 
 
 class TestEnumerateTargets:
