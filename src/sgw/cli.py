@@ -129,7 +129,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_chi(args) -> int:
     g = _read_graph(args.file)
-    cert = chromatic_number(g, lo=args.lo, hi=args.hi)
+    cert = chromatic_number(g, hi=args.hi)
     if not validate(g, cert.target, cert.hom):
         raise SgwError("certificate failed re-validation")
     payload = {
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="exact signed chromatic number")
     p.add_argument("file")
-    p.add_argument("--lo", type=int)
     p.add_argument("--hi", type=int)
     p.add_argument("--certificate", help="write the certificate as JSON")
     p.set_defaults(run=cmd_chi)

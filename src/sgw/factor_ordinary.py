@@ -2,10 +2,10 @@
 
 Signs are ignored here; the factors come back as all-positive SignedGraph
 values.  The approach is edge-color refinement: a union-find over edges
-is joined in up to three passes, and after each one (and once inside
-the third) a coordinate system is extracted and verified by exact
-reconstruction.  The first coloring that passes is returned; its colors
-are a tuple indexed by edge id, the position of the edge in g.edges.
+is joined in up to four passes, and after each one a coordinate system
+is extracted and verified by exact reconstruction.  The first coloring
+that passes is returned; its colors are a tuple indexed by edge id, the
+position of the edge in g.edges.
 
 Coordinates: for each color c, the base layer is the c-colored component
 of vertex 0, in BFS order, and a vertex's c-th coordinate is the index
@@ -53,25 +53,27 @@ coordinatizes is sigma's.
    chordless square, or in a triangle or chorded square, are joined, and
    opposite edges of each chordless square are joined once, at its least
    corner.  O(sum of deg^2 * max degree).
-3. Theta.  The square rules see only squares: in M x K2, M a Mobius
-   ladder, they keep M's rungs apart from its rim.  Pass 3 joins in the
-   Djokovic-Winkler relation theta.  Sigma is the closure of theta and
-   tau, and theta need only relate each edge to the edges of one
-   spanning tree (Feder).  Pass 2 contains tau, so the third coloring is
-   sigma and must coordinatize.  The tree is factorize's BFS tree from
-   0, and its first deg(0) edges are the star at 0, which every sigma
-   class meets.  The coloring is tried once after the star, as its
-   joins too lie in sigma; nothing proves that the star suffices, so
-   the pass goes on over the whole tree if it does not.  One BFS per
-   tree edge: O(deg(0) * m) when the star suffices, O(n * m) otherwise.
+3. Theta at the star.  The square rules see only squares: in M x K2,
+   M a Mobius ladder, they keep M's rungs apart from its rim.  This pass
+   joins each edge 0y at vertex 0 with every edge in the
+   Djokovic-Winkler relation theta to it, one BFS per neighbour y.
+   Every sigma class meets the star at 0, as every factor's layer
+   through 0 has an edge there, and the joins lie in sigma, so the
+   coloring is tried.  O(deg(0) * m).
+4. Theta on the tree.  Sigma is the closure of theta and tau, and theta
+   need only relate each edge to the edges of one spanning tree (Feder).
+   Pass 2 contains tau, and the star is the start of factorize's BFS
+   tree from 0, so joining the other tree edges pc (p the least
+   neighbour of c one level down) gives sigma, which must coordinatize.
+   Nothing proves that the star suffices, so this pass stays as the
+   complete last one.  Two BFS per tree edge, O(n * m).
 
-A graph of prime order is prime, as factor orders multiply to n, so it
-gets a single color without any pass.
+A graph of prime order is prime, as factor orders multiply to n, so its
+one pass joins every edge into a single color.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, count
 from math import isqrt, prod
@@ -139,7 +141,10 @@ def factorize(g: SignedGraph) -> OrdinaryDecomposition:
         eid[u][v] = eid[v][u] = idx
 
     ds = DisjointSet(g.m)
-    for _ in _passes(g, eid, ds, order, dist):
+    passes = ([_one_color] if _is_prime(g.n)  # factor orders multiply to n
+              else [_seed_from_root, _seed_square_rules, _theta_star, _theta_tree])
+    for join in passes:
+        join(g, eid, ds, order, dist)
         dec = _coordinatize(g, eid, ds, order, dist)
         if dec is not None:
             return dec
@@ -153,22 +158,13 @@ def is_prime_ordinary(g: SignedGraph) -> bool:
     return len(factorize(g).factors) == 1
 
 
-def _passes(g, eid, ds, order, dist):
-    """Join the passes into ``ds``, yielding after each coloring to try:
-    after every pass, and inside the theta pass after the star at 0."""
-    if _is_prime(g.n):  # factor orders multiply to n: one color
-        for idx in range(1, g.m):
-            ds.union(0, idx)
-    else:
-        _seed_from_root(g, eid, ds, dist)
-        yield
-        _seed_square_rules(g, eid, ds)
-        yield
-        yield from _theta_unions(g, eid, ds, order, dist)
-    yield
+def _one_color(g, eid, ds, order, dist):
+    """The one pass for a graph of prime order (see the module docstring)."""
+    for idx in range(1, g.m):
+        ds.union(0, idx)
 
 
-def _seed_from_root(g, eid, ds, dist):
+def _seed_from_root(g, eid, ds, order, dist):
     """Pass 1 (see the module docstring)."""
     for y, z in combinations(eid[0], 2):
         if z in eid[y] or len(eid[y].keys() & eid[z].keys()) != 2:
@@ -190,7 +186,8 @@ def _seed_from_root(g, eid, ds, dist):
                     ds.union(e, up)
 
 
-def _seed_square_rules(g, eid, ds):
+def _seed_square_rules(g, eid, ds, order, dist):
+    """Pass 2 (see the module docstring)."""
     for x in range(g.n):
         at = eid[x]
         nbrs = list(at)
@@ -301,35 +298,29 @@ def _sweep_coords(eid, color, layer_verts, order, dist):
     return coords
 
 
-def _theta_unions(g, eid, ds, order, dist):
-    """Join each edge of a BFS tree with every edge theta-related to it.
+def _theta_star(g, eid, ds, order, dist):
+    """Pass 3: theta from each edge at vertex 0, whose distances are ``dist``."""
+    for c, e in eid[0].items():
+        _theta_join(g, ds, e, dist, bfs_order(g, c)[1])
 
-    Edges xy and uv are theta-related iff d(x, u) + d(y, v) differs from
-    d(x, v) + d(y, u), that is, iff d(., u) - d(., v) differs at x and y.
-    One BFS per vertex, taken in ``factorize``'s BFS order ``order`` from
-    vertex 0 with distances ``dist``; a vertex's distances are kept only
-    until its last tree child has used them.  O(n * m) in all.  Yields
-    once, after the star at vertex 0: the first deg(0) tree edges.
+
+def _theta_tree(g, eid, ds, order, dist):
+    """Pass 4: theta from the other edges of the BFS tree ``order``."""
+    for c in order[len(eid[0]) + 1:]:
+        p = next(w for w in eid[c] if dist[w] == dist[c] - 1)
+        _theta_join(g, ds, eid[p][c], bfs_order(g, p)[1], bfs_order(g, c)[1])
+
+
+def _theta_join(g, ds, e, dp, dc):
+    """Join edge ``e`` = pc with every edge theta-related to it.
+
+    Edges xy and pc are theta-related iff d(x, p) + d(y, c) differs from
+    d(x, c) + d(y, p), that is, iff d(., c) - d(., p) differs at x and y;
+    ``dp`` and ``dc`` are the distances from p and from c.
     """
-    parent = {c: next(w for w in eid[c] if dist[w] == dist[c] - 1)
-              for c in order[1:]}
-    children = Counter(parent.values())
-    kept = {0: dist}
-    for i, c in enumerate(order[1:], 1):
-        p = parent[c]
-        dc, dp = bfs_order(g, c)[1], kept[p]
-        diff = [a - b for a, b in zip(dc, dp)]
-        tree_edge = eid[p][c]
-        for idx, (x, y, _s) in enumerate(g.edges):
-            if diff[x] != diff[y]:
-                ds.union(tree_edge, idx)
-        children[p] -= 1
-        if not children[p]:
-            del kept[p]
-        if children[c]:
-            kept[c] = dc
-        if i == len(eid[0]):
-            yield
+    for idx, (x, y, _s) in enumerate(g.edges):
+        if dc[x] - dp[x] != dc[y] - dp[y]:
+            ds.union(e, idx)
 
 
 def _is_prime(n):

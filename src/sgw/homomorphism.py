@@ -340,15 +340,6 @@ class _LiteralOrbits(dict):
         return least
 
 
-def _switching_automorphism_orbits(h: SignedGraph) -> list[int]:
-    """One target vertex per orbit of the switching-automorphism group,
-    the least of each orbit."""
-    if not h.n:
-        return []
-    root = _LiteralOrbits(h)[0]
-    return [t for t in range(h.n) if root >> (2 * t) & 1]
-
-
 class _Support(dict):
     """support[D]: the union of ``masks[lit]`` over the literals of D,
     memoised on first look-up, so it grows only with the masks met."""
@@ -713,24 +704,21 @@ def _greedy_clique(g: SignedGraph) -> int:
     return best
 
 
-def chromatic_number(
-    g: SignedGraph, lo: Optional[int] = None, hi: Optional[int] = None
-) -> ChromaticCertificate:
+def chromatic_number(g: SignedGraph, hi: Optional[int] = None) -> ChromaticCertificate:
     """Exact signed chromatic number with a homomorphism certificate.
 
-    Searches target orders ascending from max(lo, the underlying lower
-    bound); the bound may lie below the underlying chi, and the
-    evidence records every order searched and refuted.  Raises
-    BoundExceededError, carrying the best-known interval, when the search
-    passes ``hi`` (or the enumeration cap) without finding a target.
+    Searches target orders ascending from the underlying lower bound,
+    which may lie below the underlying chi; the evidence records every
+    order searched and refuted.  Raises BoundExceededError, carrying the
+    proven lower bound, when the search passes ``hi`` (or the
+    enumeration cap) without finding a target.
     """
     if g.n == 0:
         raise TooLargeError("chromatic number needs at least one vertex")
-    base = underlying_chromatic_lower_bound(g)
-    start = max(lo or 1, base, 1)
+    base = underlying_chromatic_lower_bound(g)  # >= 1, as g has a vertex
     cap = min(hi, TARGET_ORDER_CAP) if hi is not None else TARGET_ORDER_CAP
     exhausted = {}
-    for k in range(start, cap + 1):
+    for k in range(base, cap + 1):
         targets = enumerate_targets(k)
         # one resumable search per target, run round-robin a turn at a
         # time; the first satisfied target wins, and a search that runs
@@ -754,8 +742,8 @@ def chromatic_number(
                     )
             running = still
         exhausted[k] = len(targets)
-    proved_lo = max(start, *(k + 1 for k in exhausted)) if exhausted else start
-    raise BoundExceededError(lo=proved_lo, hi=None)
+    # every order from base to cap is refuted
+    raise BoundExceededError(lo=max(base, cap + 1), hi=None)
 
 
 # -- signed isomorphism and s-redundant sets --------------------------

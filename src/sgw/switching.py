@@ -15,8 +15,6 @@ from typing import Iterable, Optional
 from .core import SignedGraph, is_connected
 from .errors import DifferentUnderlyingGraphError, NotACycleError
 
-SwitchSet = frozenset  # vertex subset of the host graph
-
 
 class CycleClass(enum.Enum):
     BC_EVEN = "BC_even"

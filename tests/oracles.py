@@ -421,7 +421,7 @@ def permutation_targets(k: int) -> tuple[SignedGraph, ...]:
 
 
 def permutation_orbits(h: SignedGraph) -> list[int]:
-    """Reference for ``homomorphism._switching_automorphism_orbits``: a
+    """Reference for the root domain of ``homomorphism._LiteralOrbits``: a
     new graph and an ``equivalent`` call for every edge-preserving
     permutation.
 

@@ -121,6 +121,13 @@ class TestCommands:
                                  frozenset(payload["switch_set"]))
         assert validate(make("UC", 4), target, hom)
 
+    def test_chi_revalidation_failure_is_parse_exit(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr("sgw.cli.validate", lambda *args: False)
+        path = write_graph(tmp_path, "uc4.sg", make("UC", 4))
+        assert main(["chi", path]) == EXIT_PARSE
+        assert capsys.readouterr().err == "sgw: certificate failed re-validation\n"
+
     def test_chi_guard_exit(self, tmp_path, capsys):
         path = write_graph(tmp_path, "k8.sg", make("K_plus", 8))
         assert main(["chi", path]) == EXIT_GUARD
@@ -192,6 +199,9 @@ class TestCommands:
         out = tmp_path / "uc5.sg"
         assert main(["make", "UC", "5", "-o", str(out)]) == EXIT_OK
         assert parse_graph(out.read_text()) == make("UC", 5)
+        # without -o the graph goes to stdout
+        assert main(["make", "UC", "4"]) == EXIT_OK
+        assert parse_graph(capsys.readouterr().out) == make("UC", 4)
 
     def test_verify_k4_classes_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -206,6 +216,10 @@ class TestCommands:
     def test_verify_guard_exit(self, capsys):
         assert main(["verify", "k18"]) == EXIT_GUARD
         assert main(["verify", "cycle_table", "--max-len", "7"]) == EXIT_GUARD
+
+    def test_verify_k18_unbounded_fails(self, capsys):
+        assert main(["verify", "k18", "--unbounded"]) == EXIT_NEGATIVE
+        assert "interval [18, unknown]" in capsys.readouterr().out
 
 
 class TestExitCodes:

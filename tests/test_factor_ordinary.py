@@ -282,7 +282,8 @@ class TestProductRelation:
         def unreachable(*args):
             raise AssertionError("a graph of prime order was colored")
 
-        for name in ("_seed_from_root", "_seed_square_rules", "_theta_unions"):
+        for name in ("_seed_from_root", "_seed_square_rules", "_theta_star",
+                     "_theta_tree"):
             monkeypatch.setattr(factor_ordinary, name, unreachable)
         for g in (circulant(31, 7), circulant(101, 5), make("K_plus", 5)):
             dec = factorize(g)
@@ -322,7 +323,7 @@ class TestProductRelation:
             graphs.append(relabel(rng, product_many(factors)[0]))
         expected = [factorize(g).edge_color for g in graphs]
 
-        def tau_only(g, eid, ds):
+        def tau_only(g, eid, ds, order, dist):
             for x in range(g.n):
                 nbrs = g.neighbors(x)
                 for a, y in enumerate(nbrs):
@@ -332,15 +333,15 @@ class TestProductRelation:
                             ds.union(eid[x][y], eid[x][z])
 
         theta_runs = []
-        theta_unions = factor_ordinary._theta_unions
+        theta_star = factor_ordinary._theta_star
 
         def counting(g, eid, ds, order, dist):
             theta_runs.append(g)
-            yield from theta_unions(g, eid, ds, order, dist)
+            theta_star(g, eid, ds, order, dist)
 
         monkeypatch.setattr(factor_ordinary, "_seed_from_root", lambda *args: None)
         monkeypatch.setattr(factor_ordinary, "_seed_square_rules", tau_only)
-        monkeypatch.setattr(factor_ordinary, "_theta_unions", counting)
+        monkeypatch.setattr(factor_ordinary, "_theta_star", counting)
         for g, edge_color in zip(graphs, expected):
             assert factorize(g).edge_color == edge_color
         assert len(theta_runs) > len(graphs) // 2
@@ -372,15 +373,15 @@ class TestThetaStar:
         # nothing proves that the star suffices: with its coloring never
         # tried, the rest of the tree must still give sigma
         refused = []
-        theta_unions = factor_ordinary._theta_unions
+        theta_star, theta_tree = factor_ordinary._theta_star, factor_ordinary._theta_tree
 
         def refusing(g, eid, ds, order, dist):
-            steps = theta_unions(g, eid, ds, order, dist)
-            next(steps)  # the star is joined, and its coloring skipped
+            theta_star(g, eid, ds, order, dist)  # joined, its coloring skipped
             refused.append(g)
-            yield from steps
+            theta_tree(g, eid, ds, order, dist)
 
-        monkeypatch.setattr(factor_ordinary, "_theta_unions", refusing)
+        monkeypatch.setattr(factor_ordinary, "_theta_star", lambda *args: None)
+        monkeypatch.setattr(factor_ordinary, "_theta_tree", refusing)
         rng = random.Random(67)
 
         def twisted_prism():  # of a randomly signed cycle
@@ -416,7 +417,7 @@ def root_pass(g: SignedGraph):
     """The edge ids and the union-find after the pass from the root alone."""
     eid = edge_ids(g)
     ds = RecordingDisjointSet(g.m)
-    factor_ordinary._seed_from_root(g, eid, ds, bfs_order(g, 0)[1])
+    factor_ordinary._seed_from_root(g, eid, ds, *bfs_order(g, 0))
     return eid, ds
 
 
@@ -444,9 +445,9 @@ class TestRootPass:
         fallbacks = []
         square_rules = factor_ordinary._seed_square_rules
 
-        def counting(g, eid, ds):
+        def counting(g, eid, ds, order, dist):
             fallbacks.append(g)
-            square_rules(g, eid, ds)
+            square_rules(g, eid, ds, order, dist)
 
         monkeypatch.setattr(factor_ordinary, "_seed_square_rules", counting)
         graphs = parity_graphs(random.Random(47))
@@ -480,7 +481,8 @@ class TestRootPass:
             raise AssertionError("the pass from the root fell back")
 
         monkeypatch.setattr(factor_ordinary, "_seed_square_rules", unreachable)
-        monkeypatch.setattr(factor_ordinary, "_theta_unions", unreachable)
+        monkeypatch.setattr(factor_ordinary, "_theta_star", unreachable)
+        monkeypatch.setattr(factor_ordinary, "_theta_tree", unreachable)
         rng = random.Random(59)
         k2, c = make("K_plus", 2), lambda n: make("BC", n)
         for parts in ([c(8)] * 3, [k2] * 6 + [c(5)],
@@ -506,13 +508,13 @@ class TestPrimalityOracle:
         # the oracle tries every split of the edges into two classes, so
         # a fallback that stopped at a coarser product would show
         merges = []
-        theta_unions = factor_ordinary._theta_unions
+        theta_star = factor_ordinary._theta_star
 
         def counting(g, eid, ds, order, dist):
             merges.append(g)
-            yield from theta_unions(g, eid, ds, order, dist)
+            theta_star(g, eid, ds, order, dist)
 
-        monkeypatch.setattr(factor_ordinary, "_theta_unions", counting)
+        monkeypatch.setattr(factor_ordinary, "_theta_star", counting)
         rng = random.Random(37)
         graphs = [random_connected_signed_graph(rng, 2, 8) for _ in range(100)]
         # twisted prisms (the Mobius ladder among them): the square rules'

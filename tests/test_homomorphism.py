@@ -19,7 +19,6 @@ from sgw.homomorphism import (
     _LiteralOrbits,
     _search,
     _search_turns,
-    _switching_automorphism_orbits,
     _target_search_data,
     chromatic_number,
     enumerate_targets,
@@ -44,6 +43,13 @@ from oracles import (
     stabilizer_reps,
     switching_automorphisms,
 )
+
+
+def root_orbits(h):
+    """One target vertex per orbit of the switching-automorphism group,
+    the least of each: the vertices of the root domain's even literals."""
+    root = _LiteralOrbits(h)[0]
+    return [t for t in range(h.n) if root >> (2 * t) & 1]
 
 
 def disjoint_union(a, b):
@@ -390,19 +396,19 @@ class TestSwitchingAutomorphismOrbits:
     def test_targets_match_permutation_oracle(self):
         for k in range(1, 7):
             for h in enumerate_targets(k):
-                assert _switching_automorphism_orbits(h) == permutation_orbits(h)
+                assert root_orbits(h) == permutation_orbits(h)
 
     def test_order_seven_matches_permutation_oracle(self):
         # the oracle builds a graph and runs ``equivalent`` for each of
         # 54 * 7! permutations, so the sha256 of the agreed output is pinned
-        orbits = repr([_switching_automorphism_orbits(h) for h in enumerate_targets(7)])
+        orbits = repr([root_orbits(h) for h in enumerate_targets(7)])
         assert hashlib.sha256(orbits.encode()).hexdigest() == (
             "cd95ce76361ae4971c8c457fef43be836e285d13c55fdebf8506bbfb77d531f6"
         )
 
     def test_spal5_star_matches_permutation_oracle(self):
         h = make("SPal5_star")
-        assert _switching_automorphism_orbits(h) == permutation_orbits(h)
+        assert root_orbits(h) == permutation_orbits(h)
 
     def test_random_graphs_match_permutation_oracle(self):
         # connected and disconnected, sparse and dense, up to 7 vertices
@@ -419,16 +425,16 @@ class TestSwitchingAutomorphismOrbits:
                      if rng.random() < 0.3]
             graphs.append(build(n, random_signature(rng, pairs)))
         for h in graphs:
-            assert _switching_automorphism_orbits(h) == permutation_orbits(h)
+            assert root_orbits(h) == permutation_orbits(h)
 
 
 class TestLiteralOrbits:
     def test_empty_path_is_the_root_domain(self):
         # one vertex per orbit of the whole group, with switch bit 0 (the
-        # orbit tests tie _switching_automorphism_orbits to a brute force)
+        # orbit tests tie root_orbits to a brute force)
         for h in [t for k in range(1, 8) for t in enumerate_targets(k)] + [
                 make("SPal5_star")]:
-            root_domain = sum(1 << (2 * t) for t in _switching_automorphism_orbits(h))
+            root_domain = sum(1 << (2 * t) for t in root_orbits(h))
             assert _LiteralOrbits(h)[0] == root_domain
 
     def test_every_fixed_set_matches_brute_force(self):
@@ -460,7 +466,7 @@ class TestLiteralOrbits:
         # switch); one per coset of each stabilizer is at most 9 + 8 + ...
         for name in ("K_plus", "K_minus"):
             h = make(name, 9)
-            assert _switching_automorphism_orbits(h) == [0]
+            assert root_orbits(h) == [0]
             orbits = _LiteralOrbits(h)
             assert orbits[0] == 1
             # both literals of 0 and 1, and of 2 as the least of the rest
@@ -521,11 +527,17 @@ class TestChromaticNumber:
             assert k < base or k in exhausted
 
     def test_lo_hi_window(self):
-        g = make("BC", 4)
-        assert chromatic_number(g, lo=3).k >= 3
         with pytest.raises(BoundExceededError) as exc:
             chromatic_number(make("UC", 4), hi=3)
         assert exc.value.lo >= 4
+
+    def test_raised_lo_is_the_proven_bound(self):
+        # the underlying bound alone for BC4, and one past the refuted
+        # orders 2 and 3 for UC4
+        for name, hi, lo in (("BC", 1, 2), ("UC", 3, 4)):
+            with pytest.raises(BoundExceededError) as exc:
+                chromatic_number(make(name, 4), hi=hi)
+            assert (exc.value.lo, exc.value.hi) == (lo, None)
 
     def test_needs_a_vertex(self):
         with pytest.raises(TooLargeError):
@@ -577,6 +589,9 @@ class TestSignedIsomorphic:
     def test_distinguishes_classes(self):
         assert not signed_isomorphic(make("BC", 4), make("UC", 4))
         assert not signed_isomorphic(make("BC", 4), make("BC", 5))
+
+    def test_empty_graphs(self):
+        assert signed_isomorphic(build(0, []), build(0, []))
 
     def test_switching_iso_beyond_permutation(self):
         # two triangles joined by a bridge, with the unbalanced triangle on

@@ -3,12 +3,14 @@ import json
 import jsonschema
 import pytest
 
+from sgw.constructions import make
 from sgw.errors import GuardExceededError
 from sgw.schemas import REPORT_SCHEMA
 from sgw.verify import (
     CYCLE_TABLE,
     Report,
     ReportEntry,
+    _checked_chi,
     verify_cycle_table,
     verify_grid_fig1c,
     verify_k18,
@@ -103,3 +105,18 @@ class TestGuards:
             verify_k18()
         with pytest.raises(GuardExceededError):
             verify_k18(unbounded=False)
+
+    def test_k18_unbounded_reports_an_open_interval(self):
+        # the data checks out; chi stops at the underlying bound of 18,
+        # past every target order, so the claim stays unverified
+        data, chi = verify_k18(unbounded=True).entries
+        assert data.passed and data.computed == (18, 153, 69)
+        assert not chi.passed and chi.computed == "interval [18, unknown]"
+
+
+class TestCheckedChi:
+    def test_rejects_a_certificate_that_fails_validation(self, monkeypatch):
+        g = make("UC", 4)
+        assert _checked_chi(g, 4) == (4, True)
+        monkeypatch.setattr("sgw.verify.validate", lambda *args: False)
+        assert _checked_chi(g, 4) == (4, False)
