@@ -3,12 +3,14 @@
 A signed graph is a simple loopless undirected graph with a +1/-1 sign on
 every edge.  Vertices are dense integers 0..n-1.  Instances are immutable
 after construction; every operation in the library is a pure function over
-them.
+them.  The module also holds the graph traversals and the union-find
+that factorization and the target orbits share.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -218,3 +220,39 @@ def bfs_order(g: SignedGraph, root: int = 0) -> tuple[list[int], list[int]]:
                 order.append(v)
                 queue.append(v)
     return order, dist
+
+
+class DisjointSet:
+    """Union-find with path compression; each class is rooted at its least
+    member (used for edge-color merging and for vertex orbits)."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        return True
+
+    def labels(self) -> list[int]:
+        """Each member's class number, classes numbered by least member.
+
+        One pass in member order: a parent is never greater than its
+        child, so its label is known first."""
+        fresh = count()
+        label = []
+        for x, p in enumerate(self.parent):
+            label.append(next(fresh) if p == x else label[p])
+        return label

@@ -75,49 +75,13 @@ one pass joins every edge into a single color.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import combinations
 from math import isqrt, prod
 from typing import Optional
 
-from .core import SignedGraph, bfs_order, is_connected
+from .core import DisjointSet, SignedGraph, bfs_order, is_connected
 from .errors import DisconnectedError, InternalInvariantViolation, NoEdgesError
 from .product import CoordinateSystem
-
-
-class DisjointSet:
-    """Union-find with path compression; each class is rooted at its least
-    member (used for edge-color merging and for vertex orbits)."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
-
-    def labels(self) -> list[int]:
-        """Each member's class number, classes numbered by least member.
-
-        One pass in member order: a parent is never greater than its
-        child, so its label is known first."""
-        fresh = count()
-        label = []
-        for x, p in enumerate(self.parent):
-            label.append(next(fresh) if p == x else label[p])
-        return label
 
 
 @dataclass(frozen=True)
@@ -263,9 +227,6 @@ def _coordinatize(g, eid, ds, order, dist) -> Optional[OrdinaryDecomposition]:
     # exact reconstruction: edge count of the product must match
     if sum(f.m * (g.n // f.n) for f in factors) != g.m:
         return None
-
-    if len(factors) == 1 and factors[0].n != g.n:
-        raise InternalInvariantViolation("single-color layer misses vertices")
 
     cs = CoordinateSystem(tuple(factors), tuple(coords))
     return OrdinaryDecomposition(tuple(factors), cs, tuple(color))

@@ -36,7 +36,6 @@ are skipped.  Around the vertices whose domains have been wiped out
 before, the search also maintains arc consistency.  It decides as
 chronological backtracking does, but its map may differ from that
 search's first one; the CLI and the verify suites validate every map.
-On BC5□UC5 the order-4 refutations take 2 + 57 turns, not 1,732 + 2,688.
 
 The search is iterative, with an explicit stack, so its depth is not
 bounded by Python's recursion limit.  It is also resumable: it pauses
@@ -53,14 +52,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import SignedGraph, connected_components
+from .core import DisjointSet, SignedGraph, connected_components
 from .errors import (
     BoundExceededError,
     OrderTooLargeError,
     TooLargeError,
     VertexOutOfRangeError,
 )
-from .factor_ordinary import DisjointSet
 from .switching import _switch_flags, is_balanced
 
 TARGET_ORDER_CAP = 7
@@ -117,20 +115,17 @@ def _edge_masks(h: SignedGraph) -> dict[int, list[int]]:
     return allowed
 
 
-def _switching_key(neg, perm, edges, tree) -> int:
+def _switching_key(neg, perm, edges) -> int:
     """Switching-class key of the signing (a, b) -> neg[perm[a]][perm[b]]
     of a complete graph, for ``enumerate_targets``.
 
-    ``neg`` is a 0/1 matrix (1 for a negative edge) and ``tree`` is the
-    star at 0 as (vertex, parent) pairs.  The signing is switched so that
-    every star edge is positive, and bit i of the key is set when
-    ``edges[i]`` is then negative, so bit (u, v) is s(u, v) s(0, u) s(0, v)
-    read as a sign.  Two signings have the same key exactly when they are
-    switching equivalent.
+    ``neg`` is a 0/1 matrix (1 for a negative edge).  The signing is
+    switched so that every edge at vertex 0 is positive, and bit i of the
+    key is set when ``edges[i]`` is then negative, so bit (u, v) is
+    s(u, v) s(0, u) s(0, v) read as a sign.  Two signings have the same key
+    exactly when they are switching equivalent.
     """
-    flip = [0] * len(perm)
-    for v, p in tree:
-        flip[v] = flip[p] ^ neg[perm[p]][perm[v]]
+    flip = [neg[perm[0]][p] for p in perm]
     key = 0
     for i, (u, v) in enumerate(edges):
         if neg[perm[u]][perm[v]] ^ flip[u] ^ flip[v]:
@@ -226,6 +221,13 @@ def _switching_isomorphisms(g1: SignedGraph, g2: SignedGraph, pins=()):
             yield tuple(image), tuple(flip)
 
 
+def _join(classes, image, flip):
+    """Join each literal's class with that of its image under (image, flip)."""
+    for a, (t, f) in enumerate(zip(image, flip)):
+        classes.union(2 * a, 2 * t + f)
+        classes.union(2 * a + 1, 2 * t + 1 - f)
+
+
 class _LiteralOrbits(dict):
     """Orbits of pointwise literal stabilizers in a target's symmetry group.
 
@@ -239,23 +241,20 @@ class _LiteralOrbits(dict):
     full literal mask exactly when G_T is trivial.
 
     No group is stored, only the orbit partition per T asked for and per
-    T on its stabilizer chain.  When the search pinning T finds one map
-    only, G_T holds nothing but the switches of the components that miss
-    T, and its orbits are the pairs 2 t, 2 t + 1 of their vertices.
-    Otherwise the orbits of G_T come from those of G_{T + u}: they are
-    joined by the switch of each component that misses T and by one
-    automorphism fixing T for each image of the literal 2 u that its class
-    has not reached yet, which is one automorphism per coset of G_{T + u}.
-    A literal no such automorphism reaches rules out its whole class,
-    since every class is an orbit of a subgroup of G_T.  Any u outside T
-    is sound.  The one taken is the least vertex next to T (or outside T,
-    if none is next to it) that looks like a vertex moved by a map of
-    that search other than the identity, with its degree and its edges to
-    T up to one switch; if none does, it is the least vertex that map
-    moves.  The first keeps
-    the chains of different sets T on shared sets; the second crosses a
-    part that G_T fixes in one step, such as a long path whose far end
-    alone is symmetric or a component that is already pinned.
+    T on its stabilizer chain.  When the search pinning T finds no map
+    but the identity, G_T holds nothing but the switches of the components
+    that miss T, and its orbits are the pairs 2 t, 2 t + 1 of their
+    vertices.  Otherwise the orbits of G_T come from those of G_{T + u}:
+    they are joined by the switch of each component that misses T and by
+    one automorphism fixing T for each image of the literal 2 u that its
+    class has not reached yet, which is one automorphism per coset of
+    G_{T + u}.  A literal no such automorphism reaches rules out its whole
+    class, since every class is an orbit of a subgroup of G_T.  Any u
+    outside T is sound.  The one taken is the least vertex moved by the
+    first map of that search other than the identity.  It lies outside T,
+    which every pinned map fixes, and that map is in G_T but not in
+    G_{T + u}, so every step of the chain shrinks the group, and the map
+    is the first automorphism of the coset pass.
     """
 
     def __init__(self, h: SignedGraph):
@@ -278,43 +277,31 @@ class _LiteralOrbits(dict):
             if not any(fixed >> a & 1 for a in comp):
                 yield from comp
 
-    def _look(self, fixed: int, a: int):
-        """What every element of G_T keeps of the vertex a: its degree and
-        its edges to T, their signs up to one switch."""
-        ties = sorted((b, s) for b, s in self.h.adjacency[a] if fixed >> b & 1)
-        return self.h.degree(a), min(tuple(ties), tuple((b, -s) for b, s in ties))
-
     def _orbits(self, fixed: int) -> tuple[int, ...]:
         h = self.h
+        identity = tuple(range(h.n))
         chain = []
         while fixed not in self.least:
             pins = [(a, a, 0) for a in range(h.n) if fixed >> a & 1]
             maps = _switching_isomorphisms(h, h, pins)
-            image, _ = next(maps)
-            other = next(maps, None)
-            if other is None:  # G_T only switches the components missing T
+            moving = next((m for m in maps if m[0] != identity), None)
+            if moving is None:  # G_T only switches the components missing T
                 least = list(range(2 * h.n))
                 for a in self._free(fixed):
                     least[2 * a + 1] = 2 * a
                 self.least[fixed] = tuple(least)
                 break
-            if image == tuple(range(h.n)):
-                image = other[0]
-            moved = [a for a in range(h.n) if image[a] != a]
-            looks = {self._look(fixed, a) for a in moved}
-            outside = [a for a in range(h.n) if not fixed >> a & 1]
-            near = [a for a in outside
-                    if any(fixed >> b & 1 for b, _ in h.adjacency[a])] or outside
-            u = next((a for a in near if self._look(fixed, a) in looks), moved[0])
-            chain.append((fixed, pins, u))
+            u = next(a for a in range(h.n) if moving[0][a] != a)
+            chain.append((fixed, pins, u, moving))
             fixed |= 1 << u
         least = self.least[fixed]
-        for fixed, pins, u in reversed(chain):
+        for fixed, pins, u, moving in reversed(chain):
             classes = DisjointSet(2 * h.n)
             for lit, rep in enumerate(least):
                 classes.union(lit, rep)
             for a in self._free(fixed):
                 classes.union(2 * a, 2 * a + 1)
+            _join(classes, *moving)
             # u's image t has u's degree and u's edges to T, their signs
             # switched by f
             ties = {a: s for a, s in h.adjacency[u] if fixed >> a & 1}
@@ -331,10 +318,7 @@ class _LiteralOrbits(dict):
                     if found is None:
                         settled.append(2 * t + f)
                     else:
-                        image, flip = found
-                        for a in range(h.n):
-                            classes.union(2 * a, 2 * image[a] + flip[a])
-                            classes.union(2 * a + 1, 2 * image[a] + 1 - flip[a])
+                        _join(classes, *found)
             least = tuple(classes.find(lit) for lit in range(2 * h.n))
             self.least[fixed] = least
         return least
@@ -650,7 +634,6 @@ def enumerate_targets(k: int) -> tuple[SignedGraph, ...]:
     """
     if not 1 <= k <= TARGET_ORDER_CAP:
         raise OrderTooLargeError(f"target order {k} outside 1..{TARGET_ORDER_CAP}")
-    star = [(v, 0) for v in range(1, k)]
     inner = [(u, v) for u in range(1, k) for v in range(u + 1, k)]
 
     def edges_of(bits):
@@ -667,7 +650,7 @@ def enumerate_targets(k: int) -> tuple[SignedGraph, ...]:
         for i, (u, v) in enumerate(inner):
             neg[u][v] = neg[v][u] = bits >> i & 1
         orbit = {
-            _switching_key(neg, perm, inner, star)
+            _switching_key(neg, perm, inner)
             for perm in itertools.permutations(range(k))
         }
         for image in orbit:
