@@ -66,8 +66,10 @@ class SignedGraph:
         (u, v, s) has ints 0 <= u < v < n and s the int 1 or -1, no pair
         twice, the whole sorted.  Only functions that derive the edges
         from graphs that already hold these invariants may call it:
-        ``switching.switch`` (new signs, same pairs) and
-        ``product.product_many`` (distinct copies of factor edges, sorted).
+        ``switching.switch`` (new signs, same pairs),
+        ``product.product_many`` (distinct copies of factor edges, sorted)
+        and ``s_factor.s_decompose`` (a base layer's edges, renumbered one
+        to one, sorted).
         """
         g = object.__new__(cls)
         g._build(n, edges)

@@ -8,9 +8,11 @@ own layer of its class through vertex 0, signs included; the switch set
 balances the input's signs times those of the product of the factors,
 so switching the input by it gives that product edge for edge.
 
-Each square is read once, at its corner x of least mixed-radix rank over
-the ordinary coordinates: x's neighbors y, z of higher rank and different
-colors span it, and its fourth corner has rank y + z - x.
+Both functions read the ordinary coloring as factor_ordinary verifies
+it, a color per edge, the layer sizes and each vertex's rank, and build
+no coordinate tuples or ordinary factors; s_decompose reads each
+factor's signs off its base layer by the s-rank, the rank regrouped by
+class.
 
 Why the rule is sound.  Call a square mixed when its two edge colors lie
 in different classes.
@@ -45,12 +47,13 @@ leave one class, and ``is_s_prime`` stops there and builds no factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from .core import SignedGraph
 from .errors import InternalInvariantViolation
-from .factor_ordinary import factorize
+from .factor_ordinary import _product_coloring
 from .product import CoordinateSystem
 from .switching import _switch_flags
 
@@ -65,91 +68,81 @@ class SDecomposition:
 
 def s_decompose(g: SignedGraph) -> SDecomposition:
     """Prime s-decomposition of a connected signed graph with >= 1 edge."""
-    od = factorize(g)
-    ocols = list(zip(*od.coords.coords))
-    osizes = [f.n for f in od.factors]
-    root = _joined_colors(g, od)
+    color, sizes, rank, _ = _product_coloring(g)
+    root = _joined_colors(g, color, sizes, rank)
     roots = sorted(set(root))
     classes = [[j for j, r in enumerate(root) if r == c] for c in roots]
     class_of = [roots.index(r) for r in root]
-    coords = tuple(zip(*(_mixed_radix(ocols, osizes, members) for members in classes)))
-    edge_class = tuple(class_of[c] for c in od.edge_color)
+    edge_class = tuple(class_of[c] for c in color)
 
-    # factor c: the input's class-c edges whose other coordinates are 0
-    fsign = [{} for _ in classes]  # per factor: (a, b) and (b, a) -> sign
-    for (u, v, s), c in zip(g.edges, edge_class):
-        cu = coords[u]
-        if sum(cu) == cu[c]:
-            a, b = cu[c], coords[v][c]
-            fsign[c][a, b] = fsign[c][b, a] = s
-    factors = tuple(
-        SignedGraph(math.prod(osizes[j] for j in members),
-                    [(a, b, s) for (a, b), s in signs.items() if a < b])
-        for members, signs in zip(classes, fsign)
-    )
+    # the s-rank: each rank's ordinary digits regrouped class by class,
+    # digit j weighing place[j]; a table by rank, built digit by digit
+    grouped = [j for members in classes for j in members]
+    place = [prod(sizes[i] for i in grouped[grouped.index(j) + 1:]) for j in range(len(sizes))]
+    srank = [0]
+    for size, w in zip(sizes, place):
+        srank = [r + d for r in srank for d in range(0, size * w, w)]
+    srank = [srank[r] for r in rank]
+    at = dict(zip(srank, range(g.n)))  # vertex of each s-rank
+
+    # factor c: the input's layer of class c through vertex 0, the
+    # vertices of s-rank i * stride, whose edges all have class c
+    digit = []  # per class: its stride, its size and (i, j) -> sign
+    for members in classes:
+        stride, size = place[members[-1]], prod(sizes[j] for j in members)
+        digit.append((stride, size, {
+            (i, srank[v] // stride): s for i in range(size) for v, s in g.adjacency[at[i * stride]]
+            if srank[v] < size * stride and not srank[v] % stride}))
+    # distinct pairs renumbered one to one from the input's: canonical once sorted
+    factors = tuple(SignedGraph._canonical(size, sorted(
+        (a, b, s) for (a, b), s in signs.items() if a < b)) for _, size, signs in digit)
 
     # the input's signs times the product's, in g.adjacency's order
     ratio = [[] for _ in range(g.n)]
     for (u, v, s), c in zip(g.edges, edge_class):
-        r = s * fsign[c][coords[u][c], coords[v][c]]
+        stride, size, signs = digit[c]
+        r = s * signs[srank[u] // stride % size, srank[v] // stride % size]
         ratio[u].append((v, r))
         ratio[v].append((u, r))
     x, _, bad = _switch_flags(g, ratio)
     if bad is not None:
         raise InternalInvariantViolation("the s-factors' product is no switching of the input")
-    return SDecomposition(
-        factors=factors,
-        coords=CoordinateSystem(factors, coords),
-        switch_set=x,
-        factor_of_edge=edge_class,
-    )
+    scoords = list(product(*(range(f.n) for f in factors)))  # indexed by s-rank
+    cs = CoordinateSystem(factors, tuple(scoords[r] for r in srank))
+    return SDecomposition(factors, cs, switch_set=x, factor_of_edge=edge_class)
 
 
 def is_s_prime(g: SignedGraph) -> bool:
     """True iff the connected signed graph ``g`` (with >= 1 edge) is s-prime:
     negative squares join all its ordinary colors into one."""
-    return set(_joined_colors(g, factorize(g))) == {0}
+    return set(_joined_colors(g, *_product_coloring(g)[:3])) == {0}
 
 
-def _mixed_radix(cols, sizes, members) -> list[int]:
-    """Each vertex's mixed-radix index over the coordinate columns ``members``."""
-    col = cols[members[0]]
-    for j in members[1:]:
-        col = [a * sizes[j] + b for a, b in zip(col, cols[j])]
-    return col
-
-
-def _joined_colors(g: SignedGraph, od) -> list[int]:
+def _joined_colors(g: SignedGraph, color, sizes, rank) -> list[int]:
     """Least color of each ordinary color's class under the joins.
 
     Colors i != j join when a square spanned by an i-edge and a j-edge is
-    negative.  Vertices are handled by the mixed-radix rank of their
-    ordinary coordinates; each square is read at its least corner x, from
-    x's neighbors y and z of higher rank, and its fourth corner is y + z - x.
+    negative.  Each square is read at its corner x of least rank, from
+    the edges xy and xz to higher ranks; its fourth corner is y + z - x.
     """
-    k = len(od.factors)
+    k = len(sizes)
     root = list(range(k))
     if k == 1:
         return root
-    rank = _mixed_radix(list(zip(*od.coords.coords)), [f.n for f in od.factors], root)
-    at = [0] * g.n  # vertex of each rank
-    for u, r in enumerate(rank):
-        at[r] = u
-    sign = [dict(adj) for adj in g.adjacency]  # per vertex: neighbor -> sign
-    above = [[] for _ in range(g.n)]  # per vertex: its edges to higher rank
-    for (u, v, s), c in zip(g.edges, od.edge_color):
-        if rank[u] < rank[v]:
-            above[u].append((rank[v], v, c, s))
-        else:
-            above[v].append((rank[u], u, c, s))
+    above = [[] for _ in range(g.n)]  # per rank: (higher rank, color, sign)
+    sign = [{} for _ in range(g.n)]  # per rank: higher rank -> sign
+    for (u, v, s), c in zip(g.edges, color):
+        x, y = rank[u], rank[v]
+        if x > y:
+            x, y = y, x
+        above[x].append((y, c, s))
+        sign[x][y] = s
     joins_left = k - 1
-    for x, u in enumerate(at):
-        for a, (y, vy, i, s_xy) in enumerate(above[u]):
-            for z, vz, j, s_xz in above[u][a + 1:]:
-                if root[i] == root[j]:
-                    continue
-                w = at[y + z - x]
-                if s_xy * s_xz * sign[vy][w] * sign[vz][w] < 0:
+    for x, edges in enumerate(above):
+        for a, (y, i, s_xy) in enumerate(edges):
+            at_y = sign[y]
+            for z, j, s_xz in edges[a + 1:]:
+                if root[i] != root[j] and s_xy * s_xz * at_y[y + z - x] * sign[z][y + z - x] < 0:
                     # at most log2(n) colors: relabel the whole list, so
                     # the test per square stays two list reads
                     lo, hi = sorted((root[i], root[j]))

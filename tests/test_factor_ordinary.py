@@ -8,8 +8,13 @@ from sgw import factor_ordinary
 from sgw.constructions import make
 from sgw.core import SignedGraph, bfs_order, build, is_connected
 from sgw.errors import DisconnectedError, NoEdgesError
-from sgw.factor_ordinary import DisjointSet, factorize, is_prime_ordinary
-from sgw.product import product_many
+from sgw.factor_ordinary import (
+    DisjointSet,
+    OrdinaryDecomposition,
+    factorize,
+    is_prime_ordinary,
+)
+from sgw.product import CoordinateSystem, product_many
 from sgw.s_factor import s_decompose
 
 from oracles import (
@@ -76,7 +81,27 @@ def coordinatize_with(g: SignedGraph, classes):
     for (a, b), *rest in classes:
         for u, v in rest:
             ds.union(eid[a][b], eid[u][v])
-    return factor_ordinary._coordinatize(g, eid, ds, *bfs_order(g, 0))
+    return factor_ordinary._coordinatize(g, eid, ds.labels(), *bfs_order(g, 0))
+
+
+def decoded(found) -> OrdinaryDecomposition:
+    """The extraction's (color, sizes, rank, pairs) as a decomposition: each
+    rank decoded digit by digit, the last digit least significant, and
+    each factor built from its pairs."""
+    color, sizes, rank, pairs = found
+
+    def digits(r):
+        out = []
+        for size in reversed(sizes):
+            r, d = divmod(r, size)
+            out.append(d)
+        assert r == 0
+        return tuple(reversed(out))
+
+    factors = tuple(SignedGraph(size, [(a, b, 1) for a, b in edges if a < b])
+                    for size, edges in zip(sizes, pairs))
+    return OrdinaryDecomposition(factors, CoordinateSystem(factors, tuple(map(digits, rank))),
+                                 tuple(color))
 
 
 def both_coordinatize(g: SignedGraph, color):
@@ -89,8 +114,9 @@ def both_coordinatize(g: SignedGraph, color):
     pair_eid = {}
     for idx, (u, v, _) in enumerate(g.edges):
         pair_eid[(u, v)] = pair_eid[(v, u)] = idx
-    new = factor_ordinary._coordinatize(g, edge_ids(g), ds, *bfs_order(g, 0))
+    new = factor_ordinary._coordinatize(g, edge_ids(g), ds.labels(), *bfs_order(g, 0))
     if new is not None:
+        new = decoded(new)
         new = dataclasses.replace(new, edge_color=pair_keyed(g, new.edge_color))
     return new, oracles._coordinatize(g, pair_eid, ds)
 
@@ -217,14 +243,14 @@ class TestCoordinates:
         # below it; the exact check decides the rest, so both must agree
         # on every coloring, product or not
         rejected = []
-        sweep = factor_ordinary._sweep_coords
+        sweep = factor_ordinary._sweep
 
-        def recording(eid, color, layer_verts, order, dist):
-            coords = sweep(eid, color, layer_verts, order, dist)
-            rejected.append(coords is None)
-            return coords
+        def recording(eid, color, layers, stride, order, dist):
+            rank = sweep(eid, color, layers, stride, order, dist)
+            rejected.append(rank is None)
+            return rank
 
-        monkeypatch.setattr(factor_ordinary, "_sweep_coords", recording)
+        monkeypatch.setattr(factor_ordinary, "_sweep", recording)
         rng = random.Random(61)
         graphs = [random_connected_signed_graph(rng, 2, 10) for _ in range(100)]
         graphs += [relabel(rng, product_many([random_connected_signed_graph(rng, 2, 4)
@@ -253,10 +279,10 @@ class TestCoordinates:
         assert sum(rejected) >= 10
 
     def test_layer_sizes_not_multiplying_to_n_raise_first(self, monkeypatch):
-        def unreachable(eid, color, layer_verts, order, dist):
+        def unreachable(eid, color, layers, stride, order, dist):
             raise AssertionError("projection ran after a size mismatch")
 
-        monkeypatch.setattr(factor_ordinary, "_sweep_coords", unreachable)
+        monkeypatch.setattr(factor_ordinary, "_sweep", unreachable)
         # {01} alone: layers of 2 and 6 vertices, 12 != 6
         g = make("BC", 6)
         assert coordinatize_with(g, [[(0, 1)],
@@ -282,8 +308,8 @@ class TestProductRelation:
         def unreachable(*args):
             raise AssertionError("a graph of prime order was colored")
 
-        for name in ("_seed_from_root", "_seed_square_rules", "_theta_star",
-                     "_theta_tree"):
+        for name in ("_seed_from_root", "_root_joins", "_seed_square_rules",
+                     "_theta_star", "_theta_tree"):
             monkeypatch.setattr(factor_ordinary, name, unreachable)
         for g in (circulant(31, 7), circulant(101, 5), make("K_plus", 5)):
             dec = factorize(g)
@@ -339,7 +365,8 @@ class TestProductRelation:
             theta_runs.append(g)
             theta_star(g, eid, ds, order, dist)
 
-        monkeypatch.setattr(factor_ordinary, "_seed_from_root", lambda *args: None)
+        # no pass from the root: every edge its own color
+        monkeypatch.setattr(factor_ordinary, "_seed_from_root", lambda g, *args: list(range(g.m)))
         monkeypatch.setattr(factor_ordinary, "_seed_square_rules", tau_only)
         monkeypatch.setattr(factor_ordinary, "_theta_star", counting)
         for g, edge_color in zip(graphs, expected):
@@ -403,22 +430,39 @@ class TestThetaStar:
         assert len(refused) >= 50
 
 
-class RecordingDisjointSet(DisjointSet):
-    def __init__(self, n):
-        super().__init__(n)
-        self.joins = []
+def root_pass(monkeypatch, g: SignedGraph):
+    """The edge ids, pass 1's joins in the order it labels them, as (edge,
+    edge) pairs, and its coloring."""
+    eid, joins = edge_ids(g), []
+    root_joins = factor_ordinary._root_joins
 
-    def union(self, x, y):
-        self.joins.append((x, y))
-        return super().union(x, y)
+    def recording(*args):
+        for join in root_joins(*args):
+            joins.append(join)
+            yield join
+
+    with monkeypatch.context() as patch:
+        patch.setattr(factor_ordinary, "_root_joins", recording)
+        color = factor_ordinary._seed_from_root(g, eid, *bfs_order(g, 0))
+    return eid, joins, color
 
 
-def root_pass(g: SignedGraph):
-    """The edge ids and the union-find after the pass from the root alone."""
-    eid = edge_ids(g)
-    ds = RecordingDisjointSet(g.m)
-    factor_ordinary._seed_from_root(g, eid, ds, *bfs_order(g, 0))
-    return eid, ds
+def closure(g: SignedGraph, joins):
+    """The union-find over g's edges after ``joins``, and the number of
+    second joins of an edge off vertex 0 that merged two classes."""
+    star = len(g.neighbors(0))
+    ds, met, merges = DisjointSet(g.m), set(range(star)), 0
+    for e, t in joins:
+        assert t in met  # labelled before it is copied
+        merges += ds.union(e, t) and e in met and e >= star
+        met.add(e)
+    return ds, merges
+
+
+def numbered(color):
+    """``color`` renumbered by first edge, as DisjointSet.labels numbers."""
+    first = {}
+    return [first.setdefault(x, len(first)) for x in color]
 
 
 def parity_graphs(rng: random.Random):
@@ -459,20 +503,82 @@ class TestRootPass:
         assert len(graphs) >= 1500
         assert 0 < len(fallbacks) < len(graphs) // 4
 
-    def test_joins_lie_in_the_product_relation(self):
-        # each join of the pass, checked against the naive (theta | tau)*
+    def test_joins_lie_in_the_product_relation(self, monkeypatch):
+        # each join of the pass, a label copy or a label union, checked
+        # against the naive (theta | tau)*; the labels are its closure
         rng = random.Random(53)
         graphs = [g for g in parity_graphs(rng)[::4] if g.m <= 40]
         fallbacks = 0
         for g in graphs:
-            eid, ds = root_pass(g)
+            eid, joins, color = root_pass(monkeypatch, g)
             edges = g.underlying_edges()
             sigma = {e: cls for cls in product_relation_classes(g) for e in cls}
-            for x, y in ds.joins:
+            for x, y in joins:
                 assert sigma[edges[x]] is sigma[edges[y]]
-            fallbacks += factor_ordinary._coordinatize(g, eid, ds, *bfs_order(g, 0)) is None
+            assert closure(g, joins)[0].labels() == color
+            fallbacks += factor_ordinary._coordinatize(g, eid, color, *bfs_order(g, 0)) is None
         assert len(graphs) >= 300
         assert 0 < fallbacks < len(graphs) // 4
+
+    def test_level_edges_union_labels(self, monkeypatch):
+        # odd cycles and complete graphs have level edges, both ends at one
+        # distance from 0: the second end's join meets two labelled edges
+        # and takes the union; elsewhere such a join merges two labels
+        rng = random.Random(71)
+        k, c = (lambda p: make("K_plus", p)), (lambda n: make("BC", n))
+        products = [relabel(rng, product_many(parts)[0]) for parts in (
+            [c(5), c(7)], [k(3), c(5)], [k(4), k(3), c(5)], [c(3), c(3), c(5)],
+            [k(5), c(7)], [c(9), k(2)], [k(3), k(3), k(3)])]
+        for g in products:
+            _, joins, color = root_pass(monkeypatch, g)
+            star = len(g.neighbors(0))
+            assert sum(e >= star for e, _ in joins) > g.m - star  # second ends
+            classes = {}
+            for e, col in zip(g.underlying_edges(), color):
+                classes.setdefault(col, set()).add(e)
+            assert {frozenset(cls) for cls in classes.values()} == product_relation_classes(g)
+        merged = 0
+        for g in parity_graphs(random.Random(73)):
+            _, joins, color = root_pass(monkeypatch, g)
+            ds, merges = closure(g, joins)
+            assert ds.labels() == color
+            merged += merges > 0
+        assert merged >= 50
+
+    def test_refused_labels_seed_the_fallback(self, monkeypatch):
+        # a pass 1 coloring with one class split in two is finer than
+        # sigma, so it is refused; passes 2-4 start from its classes and
+        # still end at sigma
+        seeded = []
+        seed_from_root = factor_ordinary._seed_from_root
+        square_rules = factor_ordinary._seed_square_rules
+
+        def split(g, *args):
+            color = seed_from_root(g, *args)
+            c = max(color, key=color.count)
+            half = set([e for e, x in enumerate(color) if x == c][1::2])
+            return numbered([g.m if e in half else x for e, x in enumerate(color)])
+
+        def recording(g, eid, ds, order, dist):
+            seeded.append((g, ds.labels()))
+            square_rules(g, eid, ds, order, dist)
+
+        monkeypatch.setattr(factor_ordinary, "_seed_from_root", split)
+        monkeypatch.setattr(factor_ordinary, "_seed_square_rules", recording)
+        rng = random.Random(79)
+        graphs = [relabel(rng, product_many([random_connected_signed_graph(rng, 2, 4)
+                                             for _ in range(rng.randint(1, 3))])[0])
+                  for _ in range(80)]
+        graphs += [product_many([wagner(), make("BC", 4)])[0]]
+        graphs = [g for g in graphs if not factor_ordinary._is_prime(g.n)]
+        for g in graphs:
+            new, old = factorize(g), all_corners_factorize(g)
+            assert pair_keyed(g, new.edge_color) == old.edge_color
+            assert new.coords.coords == old.coords.coords
+        assert len(seeded) == len(graphs) >= 60
+        for g, labels in seeded:
+            eid, order, dist = edge_ids(g), *bfs_order(g, 0)
+            assert labels == split(g, eid, order, dist)
 
     def test_decides_products_alone(self, monkeypatch):
         # the decompose benchmark's shapes, and K4 x C6, whose edges at 0

@@ -16,6 +16,8 @@ from sgw.product import product_many
 from sgw.s_factor import is_s_prime, s_decompose
 from sgw.switching import equivalent, switch
 
+from test_factor_ordinary import parity_graphs
+
 from oracles import (
     lemma_is_s_prime,
     merge_pass_s_decompose,
@@ -206,6 +208,28 @@ class TestNegativeSquares:
         # so the switch set leaves every base-layer vertex unswitched
         on_base = [u for u, cu in enumerate(coords) if sum(x > 0 for x in cu) <= 1]
         assert dec.switch_set.isdisjoint(on_base)
+
+
+class TestPerturbedParityProducts:
+    def test_lemma_and_reconstruction(self):
+        # the factorization parity set's products (relabelled, some with an
+        # edge toggled, twisted prisms times a graph), switched at random,
+        # with one sign flipped and with random signs
+        rng = random.Random(1400)
+        products = [g for g in parity_graphs(random.Random(47))[600:]
+                    if g.n <= 40 and len(factorize(g).factors) >= 2][::3]
+        answers = Counter()
+        for g in products:
+            g = switch(g, [v for v in range(g.n) if rng.random() < 0.5])
+            for h in (g, flip_one(rng, g),
+                      SignedGraph(g.n, random_signature(rng, g.underlying_edges()))):
+                prime = is_s_prime(h)
+                assert prime == lemma_is_s_prime(h)
+                dec = s_decompose(h)
+                assert prime == (len(dec.factors) == 1)
+                assert reconstruct_product(dec.factors, dec.coords.coords) == switch(h, dec.switch_set)
+                answers[prime] += 1
+        assert min(answers[True], answers[False]) >= 40
 
 
 class TestPairKeyedParity:
