@@ -248,6 +248,20 @@ class DisjointSet:
         self.parent[ry] = rx
         return True
 
+    def join(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Union each pair (x, y) in turn, with no find where parents
+        decide it.  A root x whose partner's parent is less than x is hung
+        under that parent: x is the least of its class, so the merged
+        class stays rooted at its least member, y's root.  A pair whose
+        parents are one member is in one class already."""
+        parent, union = self.parent, self.union
+        for x, y in pairs:
+            p = parent[y]
+            if p < x and parent[x] == x:
+                parent[x] = p
+            elif parent[x] != p:
+                union(x, y)
+
     def labels(self) -> list[int]:
         """Each member's class number, classes numbered by least member.
 

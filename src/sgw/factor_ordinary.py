@@ -26,14 +26,16 @@ product of the base layers.  An edge uv of color c keeps every other digit
 iff rank v - rank u = (digit c of v - digit c of u) * stride[c], as mixed
 radix is a bijection.  One look at each edge, O(m + n).
 
-The passes.  Every join of every pass lies in the product relation sigma:
-two opposite edges of a 4-cycle (theta-related when the cycle is
-chordless, on two triangles when it has a chord), two edges of a
-triangle, two adjacent edges on no common chordless square (tau), or two
-adjacent edges on two squares.  So every coloring is at least as fine as
-sigma, and every product coloring is at least as coarse (Feder, "Product
-graph representations", J. Graph Theory 16, 1992): the first coloring
-that coordinatizes is sigma's.
+The passes.  Each pass yields joins (e, t) of edge ids, which one
+union-find takes in turn (DisjointSet.join); its classes are the coloring.
+Every join lies in the product relation sigma: two opposite edges of a
+4-cycle (theta-related when the cycle is chordless, on two triangles when
+it has a chord), two edges of a triangle, two adjacent edges on no common
+chordless square (tau), two adjacent edges on two squares, or two
+theta-related edges.  So every coloring is at least as fine as sigma, and
+every product coloring is at least as coarse (Feder, "Product graph
+representations", J. Graph Theory 16, 1992): the first coloring that
+coordinatizes is sigma's.
 
 1. From the root.  Edges 0y and 0z are joined unless y and z are not
    adjacent and have one common neighbour besides 0, the fourth corner
@@ -45,33 +47,30 @@ that coordinatizes is sigma's.
    4-cycle or on two.  So every edge chains down to an edge at 0, and
    the coloring is sigma when the classes at 0 are sigma's: in a
    product, when the rule at 0 joins the edges of each factor there, as
-   it does for cycles, complete graphs and K2.  The joins are labels:
-   the edges at 0 are labelled by their ids, and u runs in BFS order, so
-   px and up, taken one level nearer to 0 or lying at 0, carry a label
-   that uw copies.  Only the rule at 0 and a level edge's second end
-   join two labelled edges; they merge labels in a union-find on the
-   deg(0) labels.  One set intersection per edge end, O(m * max degree).
-2. All corners.  At every vertex, adjacent edges lying in no unique
-   chordless square, or in a triangle or chorded square, are joined, and
-   opposite edges of each chordless square are joined once, at its least
-   corner, in a union-find seeded with pass 1's classes.
+   it does for cycles, complete graphs and K2.  u runs in BFS order, so
+   px and up, one level nearer to 0 or at 0, are joined before uw, and
+   uw's first join hangs it under that edge's parent with no find; only
+   the rule at 0 and a level edge's second end merge two classes.  One
+   set intersection per edge end, O(m * max degree).
+2. Tau.  At every vertex x, edges xy and xz are joined when no
+   chordless square x y w z holds them: y and z are adjacent, or every
+   common neighbour w != x of theirs is adjacent to x.
    O(sum of deg^2 * max degree).
-3. Theta at the star.  The square rules see only squares: in M x K2,
-   M a Mobius ladder, they keep M's rungs apart from its rim.  This pass
+3. Theta at the star.  Passes 1 and 2 see only squares: in M x K2, M a
+   Mobius ladder, they keep M's rungs apart from its rim.  This pass
    joins each edge 0y with every edge in the Djokovic-Winkler relation
    theta to it, one BFS per neighbour y.  Every sigma class meets the
    star at 0, as every factor's layer through 0 has an edge there, so
    the coloring is tried.  O(deg(0) * m).
 4. Theta on the tree.  Sigma is the closure of theta and tau, and theta
    need only relate each edge to the edges of one spanning tree (Feder).
-   Pass 2 contains tau, and the star starts factorize's BFS tree from 0,
-   so joining the other tree edges pc (p the least neighbour of c one
-   level down) gives sigma.  Nothing proves that the star suffices, so
-   this pass stays as the complete last one.  Two BFS per tree edge,
-   O(n * m).
+   Pass 2 is tau, and the star starts factorize's BFS tree from 0, so
+   joining the other tree edges pc (p the least neighbour of c one level
+   down) gives sigma.  Nothing proves that the star suffices, so this
+   pass stays as the complete last one.  Two BFS per tree edge, O(n * m).
 
 A graph of prime order is prime, as factor orders multiply to n: its one
-coloring puts every edge in one color.
+pass joins every edge to edge 0.
 """
 
 from __future__ import annotations
@@ -120,39 +119,24 @@ def _product_coloring(g: SignedGraph):
     eid = [{} for _ in range(g.n)]
     for idx, (u, v, _) in enumerate(g.edges):
         eid[u][v] = eid[v][u] = idx
+    ds = DisjointSet(g.m)
     # factor orders multiply to n: a graph of prime order has one color
-    color = [0] * g.m if _is_prime(g.n) else _seed_from_root(g, eid, order, dist)
-    found = _coordinatize(g, eid, color, order, dist)
-    if found is not None:
-        return found
-    ds, first = DisjointSet(g.m), {}  # pass 1's classes, rooted at their first edges
-    ds.parent = [first.setdefault(c, idx) for idx, c in enumerate(color)]
-    for join in (_seed_square_rules, _theta_star, _theta_tree):
-        join(g, eid, ds, order, dist)
+    passes = [_one_color] if _is_prime(g.n) else [_root_joins, _tau, _theta_star, _theta_tree]
+    for joins in passes:
+        ds.join(joins(g, eid, order, dist))
         found = _coordinatize(g, eid, ds.labels(), order, dist)
         if found is not None:
             return found
     raise InternalInvariantViolation("the product relation did not coordinatize")
 
 
-def _seed_from_root(g, eid, order, dist) -> list[int]:
-    """Pass 1's coloring from its joins as labels (module docstring)."""
-    star = len(eid[0])  # the edges at 0 have the least ids, 0 .. star - 1
-    label = list(range(star)) + [-1] * (g.m - star)
-    root = label[:star]  # per label: the least label of its class
-    for e, t in _root_joins(g, eid, order, dist):
-        if label[e] < 0:
-            label[e] = label[t]
-        elif root[label[e]] != root[label[t]]:  # relabel the whole list
-            lo, hi = sorted((root[label[e]], root[label[t]]))
-            root = [lo if r == hi else r for r in root]
-    roots = sorted(set(root))  # each class's least edge is at 0
-    color = [roots.index(r) for r in root]
-    return [color[x] for x in label]
+def _one_color(g, eid, order, dist):
+    """The one pass for a graph of prime order: every edge with edge 0."""
+    return ((e, 0) for e in range(1, g.m))
 
 
 def _root_joins(g, eid, order, dist):
-    """Pass 1's joins (e, t), t labelled before e (module docstring)."""
+    """Pass 1 (module docstring): joins (e, t), t joined before e."""
     star = eid[0]
     for y, z in combinations(star, 2):
         if z in eid[y] or len(eid[y].keys() & eid[z].keys()) != 2:
@@ -173,36 +157,18 @@ def _root_joins(g, eid, order, dist):
                     yield e, up
 
 
-def _seed_square_rules(g, eid, ds, order, dist):
-    """Pass 2 (see the module docstring)."""
-    for x in range(g.n):
-        at = eid[x]
+def _tau(g, eid, order, dist):
+    """Pass 2: xy with xz when no chordless square x y w z holds them."""
+    for x, at in enumerate(eid):
         nbrs = list(at)
         for a, y in enumerate(nbrs):
             at_y = eid[y]
             for z in nbrs[a + 1:]:
-                exy, exz = at[y], at[z]
-                if z in at_y:  # triangle: one layer
-                    ds.union(exy, exz)
-                    continue
-                chordless = []
-                chorded = False
-                for w in at_y.keys() & eid[z].keys():
-                    if w == x:
-                        continue
-                    if w in at:
-                        chorded = True
-                    else:
-                        chordless.append(w)
-                # each chordless square is met from all four corners with
-                # the same two opposite-edge unions; make them at the least
-                if x < y and x < z:
-                    for w in chordless:
-                        if x < w:
-                            ds.union(exy, eid[z][w])
-                            ds.union(exz, at_y[w])
-                if chorded or len(chordless) != 1:
-                    ds.union(exy, exz)
+                for w in () if z in at_y else at_y.keys() & eid[z].keys():
+                    if w != x and w not in at:  # the square x y w z
+                        break
+                else:
+                    yield at[y], at[z]
 
 
 def _coordinatize(g, eid, color, order, dist):
@@ -268,26 +234,26 @@ def _sweep(eid, color, layers, stride, order, dist):
     return rank
 
 
-def _theta_star(g, eid, ds, order, dist):
+def _theta_star(g, eid, order, dist):
     """Pass 3: theta from each edge at vertex 0, whose distances are ``dist``."""
     for c, e in eid[0].items():
-        _theta_join(g, ds, e, dist, bfs_order(g, c)[1])
+        yield from _theta_joins(g, e, dist, bfs_order(g, c)[1])
 
 
-def _theta_tree(g, eid, ds, order, dist):
+def _theta_tree(g, eid, order, dist):
     """Pass 4: theta from the other edges of the BFS tree ``order``."""
     for c in order[len(eid[0]) + 1:]:
         p = next(w for w in eid[c] if dist[w] == dist[c] - 1)
-        _theta_join(g, ds, eid[p][c], bfs_order(g, p)[1], bfs_order(g, c)[1])
+        yield from _theta_joins(g, eid[p][c], bfs_order(g, p)[1], bfs_order(g, c)[1])
 
 
-def _theta_join(g, ds, e, dp, dc):
-    """Join edge ``e`` = pc with every edge xy theta-related to it, that is,
-    with d(., c) - d(., p) different at x and y; ``dp`` and ``dc`` are the
+def _theta_joins(g, e, dp, dc):
+    """Edge ``e`` = pc with every edge xy theta-related to it, that is, with
+    d(., c) - d(., p) different at x and y; ``dp`` and ``dc`` are the
     distances from p and from c."""
     for idx, (x, y, _s) in enumerate(g.edges):
         if dc[x] - dp[x] != dc[y] - dp[y]:
-            ds.union(e, idx)
+            yield idx, e
 
 
 def _is_prime(n):

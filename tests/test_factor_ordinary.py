@@ -31,6 +31,9 @@ from oracles import (
 )
 
 
+PASSES = ("_root_joins", "_tau", "_theta_star", "_theta_tree")  # factorize's, in order
+
+
 def all_positive(g: SignedGraph) -> SignedGraph:
     return g.with_signs({(u, v): 1 for u, v, _ in g.edges})
 
@@ -72,6 +75,14 @@ def edge_ids(g: SignedGraph):
     for idx, (u, v, _) in enumerate(g.edges):
         eid[u][v] = eid[v][u] = idx
     return eid
+
+
+def union_labels(m: int, pairs):
+    """DisjointSet.labels after a plain union of each pair."""
+    ds = DisjointSet(m)
+    for x, y in pairs:
+        ds.union(x, y)
+    return ds.labels()
 
 
 def coordinatize_with(g: SignedGraph, classes):
@@ -133,6 +144,19 @@ class TestDisjointSet:
         ds.union(1, 4)
         assert ds.find(0) == ds.find(3)
         assert ds.find(2) == 2
+
+    def test_join_matches_union(self):
+        # join hangs a root under its partner's parent when that is less;
+        # the classes, numbered by least member, must come out the same
+        rng = random.Random(83)
+        for _ in range(500):
+            n = rng.randint(1, 30)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            ds, cut = DisjointSet(n), rng.randint(0, len(pairs))
+            ds.join(pairs[:cut])
+            ds.join(iter(pairs[cut:]))
+            assert ds.labels() == union_labels(n, pairs)
+            assert all(p <= x for x, p in enumerate(ds.parent))
 
 
 class TestFactorize:
@@ -278,6 +302,19 @@ class TestCoordinates:
         assert products >= 300
         assert sum(rejected) >= 10
 
+    def test_other_digit_check_refuses_a_moved_edge(self):
+        # C3 x C3, vertex (a, b) being 3a + b, with edge (4, 5) moved to
+        # (2, 4): colored by the coordinate each old edge changes, and the
+        # new edge 0, it passes the sweep, the distinct ranks, the edge
+        # count and the factor pairs, but (0, 2) -> (1, 1) changes both
+        # digits, which only the other-digit half of the edge test sees
+        g, _ = product_many([make("BC", 3)] * 2)
+        edges = sorted({(u, v) for u, v, _ in g.edges} - {(4, 5)} | {(2, 4)})
+        moved = SignedGraph(9, [(u, v, 1) for u, v in edges])
+        color = [0 if (u, v) == (2, 4) or u // 3 != v // 3 else 1 for u, v in edges]
+        assert factor_ordinary._coordinatize(moved, edge_ids(moved), color,
+                                             *bfs_order(moved, 0)) is None
+
     def test_layer_sizes_not_multiplying_to_n_raise_first(self, monkeypatch):
         def unreachable(eid, color, layers, stride, order, dist):
             raise AssertionError("projection ran after a size mismatch")
@@ -308,8 +345,7 @@ class TestProductRelation:
         def unreachable(*args):
             raise AssertionError("a graph of prime order was colored")
 
-        for name in ("_seed_from_root", "_root_joins", "_seed_square_rules",
-                     "_theta_star", "_theta_tree"):
+        for name in PASSES:
             monkeypatch.setattr(factor_ordinary, name, unreachable)
         for g in (circulant(31, 7), circulant(101, 5), make("K_plus", 5)):
             dec = factorize(g)
@@ -338,9 +374,9 @@ class TestProductRelation:
             assert {frozenset(cls) for cls in classes.values()} == product_relation_classes(g)
 
     def test_theta_recovers_square_rule_coloring(self, monkeypatch):
-        # seeds cut down to tau (adjacent edges on no common chordless
-        # square are joined), with no pass from the root, leave it to the
-        # theta pass to reach sigma
+        # tau alone (adjacent edges on no common chordless square are
+        # joined), with no pass from the root, leaves it to the theta pass
+        # to reach sigma
         rng = random.Random(41)
         graphs = []
         for _ in range(120):
@@ -349,25 +385,15 @@ class TestProductRelation:
             graphs.append(relabel(rng, product_many(factors)[0]))
         expected = [factorize(g).edge_color for g in graphs]
 
-        def tau_only(g, eid, ds, order, dist):
-            for x in range(g.n):
-                nbrs = g.neighbors(x)
-                for a, y in enumerate(nbrs):
-                    for z in nbrs[a + 1:]:
-                        if z in eid[y] or all(w == x or w in eid[x]
-                                              for w in eid[y].keys() & eid[z].keys()):
-                            ds.union(eid[x][y], eid[x][z])
-
         theta_runs = []
         theta_star = factor_ordinary._theta_star
 
-        def counting(g, eid, ds, order, dist):
+        def counting(g, *args):
             theta_runs.append(g)
-            theta_star(g, eid, ds, order, dist)
+            yield from theta_star(g, *args)
 
         # no pass from the root: every edge its own color
-        monkeypatch.setattr(factor_ordinary, "_seed_from_root", lambda g, *args: list(range(g.m)))
-        monkeypatch.setattr(factor_ordinary, "_seed_square_rules", tau_only)
+        monkeypatch.setattr(factor_ordinary, "_root_joins", lambda *args: iter(()))
         monkeypatch.setattr(factor_ordinary, "_theta_star", counting)
         for g, edge_color in zip(graphs, expected):
             assert factorize(g).edge_color == edge_color
@@ -402,12 +428,12 @@ class TestThetaStar:
         refused = []
         theta_star, theta_tree = factor_ordinary._theta_star, factor_ordinary._theta_tree
 
-        def refusing(g, eid, ds, order, dist):
-            theta_star(g, eid, ds, order, dist)  # joined, its coloring skipped
+        def refusing(g, *args):
+            yield from theta_star(g, *args)  # joined, its coloring skipped
             refused.append(g)
-            theta_tree(g, eid, ds, order, dist)
+            yield from theta_tree(g, *args)
 
-        monkeypatch.setattr(factor_ordinary, "_theta_star", lambda *args: None)
+        monkeypatch.setattr(factor_ordinary, "_theta_star", lambda *args: iter(()))
         monkeypatch.setattr(factor_ordinary, "_theta_tree", refusing)
         rng = random.Random(67)
 
@@ -430,21 +456,32 @@ class TestThetaStar:
         assert len(refused) >= 50
 
 
-def root_pass(monkeypatch, g: SignedGraph):
-    """The edge ids, pass 1's joins in the order it labels them, as (edge,
-    edge) pairs, and its coloring."""
-    eid, joins = edge_ids(g), []
-    root_joins = factor_ordinary._root_joins
+def recorded_passes(monkeypatch, g: SignedGraph):
+    """Per pass that factorize runs on g, with the prime-order shortcut off:
+    its name, its joins in order, as (edge, edge) pairs, and the coloring
+    tried after it."""
+    passes = []
+    coordinatize = factor_ordinary._coordinatize
 
-    def recording(*args):
-        for join in root_joins(*args):
-            joins.append(join)
-            yield join
+    def recording(name, joins_of):
+        def joins(*args):
+            passes.append([name, []])
+            for join in joins_of(*args):
+                passes[-1][1].append(join)
+                yield join
+        return joins
+
+    def tried(g, eid, color, order, dist):
+        passes[-1].append(color)
+        return coordinatize(g, eid, color, order, dist)
 
     with monkeypatch.context() as patch:
-        patch.setattr(factor_ordinary, "_root_joins", recording)
-        color = factor_ordinary._seed_from_root(g, eid, *bfs_order(g, 0))
-    return eid, joins, color
+        for name in PASSES:
+            patch.setattr(factor_ordinary, name, recording(name, getattr(factor_ordinary, name)))
+        patch.setattr(factor_ordinary, "_coordinatize", tried)
+        patch.setattr(factor_ordinary, "_is_prime", lambda n: False)
+        factor_ordinary._product_coloring(g)
+    return passes
 
 
 def closure(g: SignedGraph, joins):
@@ -457,12 +494,6 @@ def closure(g: SignedGraph, joins):
         merges += ds.union(e, t) and e in met and e >= star
         met.add(e)
     return ds, merges
-
-
-def numbered(color):
-    """``color`` renumbered by first edge, as DisjointSet.labels numbers."""
-    first = {}
-    return [first.setdefault(x, len(first)) for x in color]
 
 
 def parity_graphs(rng: random.Random):
@@ -487,13 +518,13 @@ class TestRootPass:
         # both return the first coloring that coordinatizes, so sigma's;
         # the count shows that the fallback passes still run
         fallbacks = []
-        square_rules = factor_ordinary._seed_square_rules
+        tau = factor_ordinary._tau
 
-        def counting(g, eid, ds, order, dist):
+        def counting(g, *args):
             fallbacks.append(g)
-            square_rules(g, eid, ds, order, dist)
+            return tau(g, *args)
 
-        monkeypatch.setattr(factor_ordinary, "_seed_square_rules", counting)
+        monkeypatch.setattr(factor_ordinary, "_tau", counting)
         graphs = parity_graphs(random.Random(47))
         for g in graphs:
             new, old = factorize(g), all_corners_factorize(g)
@@ -504,21 +535,25 @@ class TestRootPass:
         assert 0 < len(fallbacks) < len(graphs) // 4
 
     def test_joins_lie_in_the_product_relation(self, monkeypatch):
-        # each join of the pass, a label copy or a label union, checked
-        # against the naive (theta | tau)*; the labels are its closure
+        # each join of every pass that runs checked against the naive
+        # (theta | tau)*; the coloring after pass 1 is its joins' closure
         rng = random.Random(53)
         graphs = [g for g in parity_graphs(rng)[::4] if g.m <= 40]
-        fallbacks = 0
+        fallbacks, ran = 0, set()
         for g in graphs:
-            eid, joins, color = root_pass(monkeypatch, g)
+            passes = recorded_passes(monkeypatch, g)
             edges = g.underlying_edges()
             sigma = {e: cls for cls in product_relation_classes(g) for e in cls}
-            for x, y in joins:
-                assert sigma[edges[x]] is sigma[edges[y]]
+            for name, joins, _ in passes:
+                ran.add(name)
+                for x, y in joins:
+                    assert sigma[edges[x]] is sigma[edges[y]]
+            _, joins, color = passes[0]
             assert closure(g, joins)[0].labels() == color
-            fallbacks += factor_ordinary._coordinatize(g, eid, color, *bfs_order(g, 0)) is None
+            fallbacks += len(passes) > 1
         assert len(graphs) >= 300
         assert 0 < fallbacks < len(graphs) // 4
+        assert ran >= {"_tau", "_theta_star"}  # natural fallbacks
 
     def test_level_edges_union_labels(self, monkeypatch):
         # odd cycles and complete graphs have level edges, both ends at one
@@ -530,7 +565,7 @@ class TestRootPass:
             [c(5), c(7)], [k(3), c(5)], [k(4), k(3), c(5)], [c(3), c(3), c(5)],
             [k(5), c(7)], [c(9), k(2)], [k(3), k(3), k(3)])]
         for g in products:
-            _, joins, color = root_pass(monkeypatch, g)
+            _, joins, color = recorded_passes(monkeypatch, g)[0]
             star = len(g.neighbors(0))
             assert sum(e >= star for e, _ in joins) > g.m - star  # second ends
             classes = {}
@@ -539,32 +574,38 @@ class TestRootPass:
             assert {frozenset(cls) for cls in classes.values()} == product_relation_classes(g)
         merged = 0
         for g in parity_graphs(random.Random(73)):
-            _, joins, color = root_pass(monkeypatch, g)
+            _, joins, color = recorded_passes(monkeypatch, g)[0]
             ds, merges = closure(g, joins)
             assert ds.labels() == color
             merged += merges > 0
         assert merged >= 50
 
     def test_refused_labels_seed_the_fallback(self, monkeypatch):
-        # a pass 1 coloring with one class split in two is finer than
-        # sigma, so it is refused; passes 2-4 start from its classes and
-        # still end at sigma
-        seeded = []
-        seed_from_root = factor_ordinary._seed_from_root
-        square_rules = factor_ordinary._seed_square_rules
+        # pass 1 without its joins at every other edge of one class splits
+        # that class, so its coloring is finer than sigma and refused;
+        # passes 2-4 start from its classes and still end at sigma
+        seeded, tried = [], []
+        root_joins, tau = factor_ordinary._root_joins, factor_ordinary._tau
+        coordinatize = factor_ordinary._coordinatize
 
         def split(g, *args):
-            color = seed_from_root(g, *args)
+            joins = list(root_joins(g, *args))
+            color = union_labels(g.m, joins)
             c = max(color, key=color.count)
             half = set([e for e, x in enumerate(color) if x == c][1::2])
-            return numbered([g.m if e in half else x for e, x in enumerate(color)])
+            return iter([(e, t) for e, t in joins if e not in half and t not in half])
 
-        def recording(g, eid, ds, order, dist):
-            seeded.append((g, ds.labels()))
-            square_rules(g, eid, ds, order, dist)
+        def trying(g, eid, color, order, dist):
+            tried.append(color)
+            return coordinatize(g, eid, color, order, dist)
 
-        monkeypatch.setattr(factor_ordinary, "_seed_from_root", split)
-        monkeypatch.setattr(factor_ordinary, "_seed_square_rules", recording)
+        def recording(g, *args):
+            seeded.append((g, tried[-1]))
+            return tau(g, *args)
+
+        monkeypatch.setattr(factor_ordinary, "_root_joins", split)
+        monkeypatch.setattr(factor_ordinary, "_coordinatize", trying)
+        monkeypatch.setattr(factor_ordinary, "_tau", recording)
         rng = random.Random(79)
         graphs = [relabel(rng, product_many([random_connected_signed_graph(rng, 2, 4)
                                              for _ in range(rng.randint(1, 3))])[0])
@@ -578,7 +619,7 @@ class TestRootPass:
         assert len(seeded) == len(graphs) >= 60
         for g, labels in seeded:
             eid, order, dist = edge_ids(g), *bfs_order(g, 0)
-            assert labels == split(g, eid, order, dist)
+            assert labels == union_labels(g.m, split(g, eid, order, dist))
 
     def test_decides_products_alone(self, monkeypatch):
         # the decompose benchmark's shapes, and K4 x C6, whose edges at 0
@@ -586,9 +627,8 @@ class TestRootPass:
         def unreachable(*args):
             raise AssertionError("the pass from the root fell back")
 
-        monkeypatch.setattr(factor_ordinary, "_seed_square_rules", unreachable)
-        monkeypatch.setattr(factor_ordinary, "_theta_star", unreachable)
-        monkeypatch.setattr(factor_ordinary, "_theta_tree", unreachable)
+        for name in PASSES[1:]:
+            monkeypatch.setattr(factor_ordinary, name, unreachable)
         rng = random.Random(59)
         k2, c = make("K_plus", 2), lambda n: make("BC", n)
         for parts in ([c(8)] * 3, [k2] * 6 + [c(5)],
@@ -616,9 +656,9 @@ class TestPrimalityOracle:
         merges = []
         theta_star = factor_ordinary._theta_star
 
-        def counting(g, eid, ds, order, dist):
+        def counting(g, *args):
             merges.append(g)
-            theta_star(g, eid, ds, order, dist)
+            yield from theta_star(g, *args)
 
         monkeypatch.setattr(factor_ordinary, "_theta_star", counting)
         rng = random.Random(37)
