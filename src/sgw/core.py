@@ -3,13 +3,13 @@
 A signed graph is a simple loopless undirected graph with a +1/-1 sign on
 every edge.  Vertices are dense integers 0..n-1.  Instances are immutable
 after construction; every operation in the library is a pure function over
-them.  The module also holds the graph traversals and the union-find
-that factorization and the target orbits share.
+them.  The module also holds ``bfs_from``, the one traversal behind BFS
+order, components and the search orders, and the union-find that
+factorization and the target orbits share.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import count
 from typing import Iterable, Sequence
 
@@ -180,25 +180,29 @@ def walk_sign(g: SignedGraph, walk: Sequence[int]) -> int:
     return s
 
 
+def bfs_from(g: SignedGraph, sources: Iterable[int], dist: list[int]) -> list[int]:
+    """The vertices newly reached from ``sources``: the unreached sources
+    first, as given, then a FIFO BFS with neighbors ascending.  Each gets
+    its distance from the nearest source in ``dist`` (-1 marks the
+    unreached), so calls that share ``dist`` extend each other."""
+    order = []
+    for s in sources:
+        if dist[s] < 0:
+            dist[s] = 0
+            order.append(s)
+    for u in order:  # the list grows as the queue
+        d = dist[u] + 1
+        for v, _ in g.adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = d
+                order.append(v)
+    return order
+
+
 def connected_components(g: SignedGraph) -> list[list[int]]:
     """Vertex partition into connected components, BFS order inside each."""
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, _ in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(comp)
-    return comps
+    dist = [-1] * g.n
+    return [bfs_from(g, [root], dist) for root in range(g.n) if dist[root] < 0]
 
 
 def is_connected(g: SignedGraph) -> bool:
@@ -211,17 +215,7 @@ def bfs_order(g: SignedGraph, root: int = 0) -> tuple[list[int], list[int]]:
     Unreachable vertices get distance -1 and do not appear in the order.
     """
     dist = [-1] * g.n
-    dist[root] = 0
-    order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v, _ in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                order.append(v)
-                queue.append(v)
-    return order, dist
+    return bfs_from(g, [root], dist), dist
 
 
 class DisjointSet:

@@ -52,8 +52,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import DisjointSet, SignedGraph, connected_components
+from .core import DisjointSet, SignedGraph, bfs_from, connected_components
 from .errors import (
+    BadParameterError,
     BoundExceededError,
     OrderTooLargeError,
     TooLargeError,
@@ -158,20 +159,10 @@ def _switching_isomorphisms(g1: SignedGraph, g2: SignedGraph, pins=()):
         yield (), ()
         return
     pinned = {a: (t, f) for a, t, f in pins}
-    order = []
-    placed = [False] * n
-    for sources in itertools.chain([list(pinned)], ([a] for a in range(n))):
-        i = len(order)
-        for a in sources:
-            if not placed[a]:
-                placed[a] = True
-                order.append(a)
-        while i < len(order):
-            for b, _ in g2.adjacency[order[i]]:
-                if not placed[b]:
-                    placed[b] = True
-                    order.append(b)
-            i += 1
+    dist = [-1] * n
+    order = bfs_from(g2, pinned, dist)
+    for a in range(n):
+        order += bfs_from(g2, [a], dist)
     pos = [0] * n
     for i, a in enumerate(order):
         pos[a] = i
@@ -373,12 +364,6 @@ def _search_turns(g: SignedGraph, h: SignedGraph):
     the sign of every closed walk, and a homomorphism maps a negative
     closed walk onto a negative closed walk.
     """
-    if g.n == 0:
-        yield SignedHomomorphism((), frozenset())
-        return
-    if h.n == 0 or (g.m > 0 and h.m == 0):
-        yield False
-        return
     allowed, reps, balanced, support = _target_search_data(h)
     if balanced and not is_balanced(g)[0]:
         yield False
@@ -386,22 +371,17 @@ def _search_turns(g: SignedGraph, h: SignedGraph):
     full = (1 << (2 * h.n)) - 1
     # one BFS per component from its root, the vertex of highest degree
     # and then least id: the first of the component met in that order
-    by_degree = [[] for _ in range(max(map(len, g.adjacency)) + 1)]
+    by_degree = [[] for _ in range(max(map(len, g.adjacency), default=0) + 1)]
     for v, row in enumerate(g.adjacency):
         by_degree[len(row)].append(v)
-    pos = [-1] * g.n  # BFS position within the vertex's component
-    orders = []
-    for root in itertools.chain.from_iterable(reversed(by_degree)):
-        if pos[root] < 0:
-            pos[root] = 0
-            order = [root]
-            for u in order:
-                for w, _ in g.adjacency[u]:
-                    if pos[w] < 0:
-                        pos[w] = len(order)
-                        order.append(w)
-            orders.append(order)
+    dist = [-1] * g.n
+    roots = itertools.chain.from_iterable(reversed(by_degree))
+    orders = [bfs_from(g, [root], dist) for root in roots if dist[root] < 0]
     orders.sort(key=min)
+    pos = [0] * g.n  # BFS position within the vertex's component
+    for order in orders:
+        for i, v in enumerate(order):
+            pos[v] = i
     assignment = [0] * g.n
     for order in orders:
         sol = yield from _search(g, order, allowed, full, reps, support, pos)
@@ -427,10 +407,10 @@ def _search(g, order, allowed, full, reps, support, pos):
     always reflect all assigned neighbors.  ``bysize[s]`` is a bitmask of
     the positions off the stack whose domain has s literals, so the next
     variable is the lowest mark of the first non-empty bucket and a node
-    costs O(degree + 2 h.n) bitmask operations, not O(n).  The buckets
-    are updated lazily: only a literal that survives forward checking
-    moves its narrowed neighbors between buckets, and backtracking over
-    it moves them back, so a wiped-out literal costs nothing extra.
+    costs O(degree + 2 h.n) bitmask operations, not O(n).  Every domain
+    change moves its position between buckets at once, so one undo loop
+    restores domains and buckets alike, whether the literal survived or
+    wiped a domain out.
 
     Arc consistency (MAC; Sabin and Freuder, PPCP 1994) runs only where
     the search has already failed (Stergiou, ECAI 2008).  A position
@@ -456,10 +436,11 @@ def _search(g, order, allowed, full, reps, support, pos):
     back to the deepest depth in the set, skipping the subtrees of the
     depths in between, which hold no solution, and merges the rest of
     the set into that frame.  An empty set refutes the component at
-    once.  Undo restores each position's domain and ``narrowed`` from one
-    entry per position per depth.  The search decides as chronological
-    backtracking does, but which positions are hot depends on its
-    history, so its map may differ from that search's first one.
+    once.  Undo restores each position's domain, bucket and ``narrowed``
+    from one entry per position per depth; a jump undoes the frames it
+    passes over in the same loop, one a pass.  The search decides as
+    chronological backtracking does, but which positions are hot depends
+    on its history, so its map may differ from that search's first one.
 
     A variable tries only ``reps[T]`` of its domain, one literal per orbit
     of the target symmetries that fix every literal on the path, T being
@@ -500,21 +481,22 @@ def _search(g, order, allowed, full, reps, support, pos):
     root = reps[0]
     stack = [[0, root, (), 0 if root != full else None, 0, 1]]
     left = turn - 1  # the root node
+    back = n  # the depth a backjump returns to, n when none is under way
     while True:
         frame = stack[-1]
         i, rest, undo, fixed, conflict, mark = frame
-        if lits[i] >= 0:  # the last literal survived: undo its bucket moves
-            lits[i] = -1
-            for j, old, was in undo:
-                bit = 1 << j
-                bysize[domains[j].bit_count()] ^= bit
-                bysize[old.bit_count()] |= bit
-                domains[j] = old
-                narrowed[j] = was
-        else:
-            for j, old, was in undo:
-                domains[j] = old
-                narrowed[j] = was
+        lits[i] = -1
+        for j, old, was in undo:
+            bit = 1 << j
+            bysize[domains[j].bit_count()] ^= bit
+            bysize[old.bit_count()] |= bit
+            domains[j] = old
+            narrowed[j] = was
+        if len(stack) > back + 1:  # a backjump passes over this frame
+            stack.pop()
+            bysize[domains[i].bit_count()] |= 1 << i
+            continue
+        back = n
         if not rest:
             stack.pop()
             bysize[domains[i].bit_count()] |= 1 << i
@@ -522,16 +504,6 @@ def _search(g, order, allowed, full, reps, support, pos):
             if not conflict:
                 return None
             back = conflict.bit_length() - 1
-            while len(stack) > back + 1:  # jump over frames with no say
-                i, _, undo, _, _, mark = stack.pop()
-                lits[i] = -1
-                for j, old, was in undo:
-                    bit = 1 << j
-                    bysize[domains[j].bit_count()] ^= bit
-                    bysize[old.bit_count()] |= bit
-                    domains[j] = old
-                    narrowed[j] = was
-                bysize[domains[i].bit_count()] |= 1 << i
             stack[back][4] |= conflict ^ (1 << back)
             continue
         low = rest & -rest
@@ -552,6 +524,9 @@ def _search(g, order, allowed, full, reps, support, pos):
                         for k, _ in nbrs[j]:
                             warm |= 1 << k
                     break
+                bit = 1 << j
+                bysize[old.bit_count()] ^= bit
+                bysize[new.bit_count()] |= bit
                 undo.append((j, old, narrowed[j]))
                 domains[j] = new
                 narrowed[j] |= mark
@@ -582,6 +557,8 @@ def _search(g, order, allowed, full, reps, support, pos):
                         if not touched & bit:
                             touched |= bit
                             undo.append((k, old, narrowed[k]))
+                        bysize[old.bit_count()] ^= bit
+                        bysize[new.bit_count()] |= bit
                         domains[k] = new
                         narrowed[k] |= nj
                         queue |= bit & warm
@@ -593,10 +570,6 @@ def _search(g, order, allowed, full, reps, support, pos):
             if not left:
                 yield None
                 left = turn
-            for j, old, _ in undo:
-                bit = 1 << j
-                bysize[old.bit_count()] ^= bit
-                bysize[domains[j].bit_count()] |= bit
             # smallest domain among the unassigned variables
             size = 1
             while not bysize[size]:
@@ -665,8 +638,6 @@ def underlying_chromatic_lower_bound(g: SignedGraph) -> int:
     a bound, not the underlying chi: the odd wheel W5 gets 3, not 4."""
     if g.n == 0:
         return 0
-    if g.m == 0:
-        return 1
     k = _greedy_clique(g)
     if k < 3:
         # bipartite exactly when the all-negative signing is balanced
@@ -697,7 +668,7 @@ def chromatic_number(g: SignedGraph, hi: Optional[int] = None) -> ChromaticCerti
     enumeration cap) without finding a target.
     """
     if g.n == 0:
-        raise TooLargeError("chromatic number needs at least one vertex")
+        raise BadParameterError("chromatic number needs at least one vertex")
     base = underlying_chromatic_lower_bound(g)  # >= 1, as g has a vertex
     cap = min(hi, TARGET_ORDER_CAP) if hi is not None else TARGET_ORDER_CAP
     exhausted = {}

@@ -132,6 +132,12 @@ class TestCommands:
         path = write_graph(tmp_path, "k8.sg", make("K_plus", 8))
         assert main(["chi", path]) == EXIT_GUARD
 
+    def test_chi_empty_graph_is_parse_exit(self, tmp_path, capsys):
+        # an empty graph is a bad argument, as for decompose, not a guard
+        path = write_graph(tmp_path, "empty.sg", build(0, []))
+        assert main(["chi", path]) == EXIT_PARSE
+        assert main(["decompose", path]) == EXIT_PARSE
+
     def test_chi_long_path_prints_2(self, tmp_path, capsys):
         # 1500 vertices in one component: past Python's recursion limit
         rng = random.Random(89)

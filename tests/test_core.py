@@ -1,11 +1,13 @@
 import copy
 import pickle
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sgw.core import (
     SignedGraph,
+    bfs_from,
     bfs_order,
     build,
     connected_components,
@@ -235,6 +237,53 @@ class TestTraversal:
         g = build(3, [(0, 1, 1)])
         order, dist = bfs_order(g, 0)
         assert 2 not in order and dist[2] == -1
+
+    def test_bfs_from_places_sources_first(self):
+        # path 0-1-2-3-4: the unreached sources lead, in the order given,
+        # and a source met twice or reached already is skipped
+        g = build(5, [(0, 1, 1), (1, 2, 1), (2, 3, -1), (3, 4, 1)])
+        dist = [-1] * 5
+        assert bfs_from(g, [4, 0, 4], dist) == [4, 0, 3, 1, 2]
+        assert dist == [0, 1, 2, 1, 0]  # from the nearest source
+        assert bfs_from(g, [2, 1], dist) == []
+
+    def test_bfs_from_shares_distances(self):
+        # a second call on the same list reaches only the new vertices,
+        # counting from its own sources
+        g = build(6, [(0, 1, 1), (1, 2, 1), (3, 4, -1), (4, 5, 1)])
+        dist = [-1] * 6
+        assert bfs_from(g, [1], dist) == [1, 0, 2]
+        assert bfs_from(g, [0, 5], dist) == [5, 4, 3]
+        assert dist == [1, 0, 1, 2, 1, 0]
+
+    def test_traversals_match_a_deque_bfs(self):
+        def reference(g, root, seen):
+            order, queue = [root], deque([root])
+            seen[root] = 0
+            while queue:
+                u = queue.popleft()
+                for v in sorted(g.neighbors(u)):
+                    if seen[v] < 0:
+                        seen[v] = seen[u] + 1
+                        order.append(v)
+                        queue.append(v)
+            return order
+
+        rng = random.Random(61)
+        disconnected = 0
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            p = rng.random()
+            g = build(n, [(u, v, rng.choice((1, -1))) for u in range(n)
+                          for v in range(u + 1, n) if rng.random() < p])
+            root = rng.randrange(n)
+            dist = [-1] * n
+            assert bfs_order(g, root) == (reference(g, root, dist), dist)
+            seen = [-1] * n
+            comps = [reference(g, r, seen) for r in range(n) if seen[r] < 0]
+            assert connected_components(g) == comps
+            disconnected += len(comps) > 1
+        assert 50 <= disconnected <= 150
 
     def test_random_connected_generator_is_connected(self):
         rng = random.Random(7)

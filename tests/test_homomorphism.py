@@ -8,6 +8,7 @@ import pytest
 from sgw.constructions import build_grid, grid_edges, make
 from sgw.core import bfs_order, build, connected_components
 from sgw.errors import (
+    BadParameterError,
     BoundExceededError,
     OrderTooLargeError,
     TooLargeError,
@@ -229,6 +230,16 @@ class TestFindHomomorphism:
     def test_empty_cases(self):
         assert find_homomorphism(build(0, []), make("K_plus", 2)) is not None
         assert find_homomorphism(build(2, [(0, 1, 1)]), build(1, [])) is None
+
+    def test_edge_cases_take_one_turn(self):
+        # no special case decides these: the generic search does, at once
+        empty, edgeless = build(0, []), build(3, [])
+        assert list(_search_turns(empty, make("K_plus", 2))) == [
+            SignedHomomorphism((), frozenset())]
+        assert list(_search_turns(make("UC", 5), empty)) == [False]
+        assert list(_search_turns(make("UC", 5), edgeless)) == [False]
+        assert list(_search_turns(edgeless, edgeless)) == [
+            SignedHomomorphism((0, 0, 0), frozenset())]
 
     def test_disconnected_sources_agree_with_brute_force(self):
         # the search runs one component after another inside one target's
@@ -540,13 +551,15 @@ class TestChromaticNumber:
             assert (exc.value.lo, exc.value.hi) == (lo, None)
 
     def test_needs_a_vertex(self):
-        with pytest.raises(TooLargeError):
+        # a bad argument, not a resource guard: the CLI exits 2, not 4
+        with pytest.raises(BadParameterError):
             chromatic_number(build(0, []))
 
     def test_underlying_lower_bound(self):
         assert underlying_chromatic_lower_bound(make("K_plus", 5)) == 5
         assert underlying_chromatic_lower_bound(make("BC", 5)) == 3
         assert underlying_chromatic_lower_bound(build(3, [])) == 1
+        assert underlying_chromatic_lower_bound(build(0, [])) == 0
         # a bound, not the underlying chi: the odd wheel has clique 3, chi 4
         assert underlying_chromatic_lower_bound(_odd_wheel()) == 3
 
