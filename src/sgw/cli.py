@@ -79,8 +79,10 @@ def serialize_graph(g: SignedGraph) -> str:
 
 
 def _read_graph(path: str) -> SignedGraph:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return parse_graph(text)
+    if path == "-":
+        return parse_graph(sys.stdin.read())
+    with open(path, encoding="utf-8") as fh:
+        return parse_graph(fh.read())
 
 
 def _write_text(path: Optional[str], text: str):

@@ -20,6 +20,7 @@ from .errors import (
     TooManyRowsError,
 )
 from .homomorphism import SignedHomomorphism
+from .switching import _switch_flags
 
 # Negative edges of the order-18 complete signed graph K18 (all other
 # pairs are positive edges).  Frozen data; see tests for the checksum.
@@ -200,9 +201,22 @@ def _square_sign(g: SignedGraph, i: int, j: int, m: int) -> int:
     return g.sign(a, b) * g.sign(b, d) * g.sign(d, c) * g.sign(c, a)
 
 
-def _bit_for_edge(g, t, u_new, u_old, image_new, image_old, bit_old) -> bool:
-    """Switch bit of a new cell making its edge to an assigned cell valid."""
-    return bit_old != (g.sign(u_new, u_old) != t.sign(image_new, image_old))
+def _with_switch_set(g: SignedGraph, t: SignedGraph, phi) -> SignedHomomorphism:
+    """The homomorphism g -> t with vertex map ``phi``: its switch set
+    makes the ratio signing s(uv) t(phi u, phi v) all positive, the only
+    such set on a connected g that leaves vertex 0 unswitched.  Raises
+    when an edge lands on a non-edge or the ratio is unbalanced."""
+    ratio = []
+    for u, row in enumerate(g.adjacency):
+        ratio.append([])
+        for v, s in row:
+            if not t.has_edge(phi[u], phi[v]):
+                raise InternalInvariantViolation(f"edge ({u},{v}) lands on a non-edge")
+            ratio[u].append((v, s * t.sign(phi[u], phi[v])))
+    switched, _, bad = _switch_flags(g, ratio)
+    if bad is not None:
+        raise InternalInvariantViolation(f"no switch set fits edge {bad}")
+    return SignedHomomorphism(tuple(phi), switched)
 
 
 def grid_hom_spal5star(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
@@ -215,7 +229,6 @@ def grid_hom_spal5star(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
     _check_grid(g, n, m)
     t = _spal5_star()
     phi = [0] * g.n
-    bit = [False] * g.n
     alt = [1] * g.n
 
     def vid(i, j):
@@ -225,9 +238,7 @@ def grid_hom_spal5star(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
         """Cell with a single assigned neighbor: take its two smallest
         neighbors in the target as choice and recorded alternative."""
         u, a = vid(i, j), vid(anchor_i, anchor_j)
-        choices = t.neighbors(phi[a])[:2]
-        phi[u], alt[u] = choices
-        bit[u] = _bit_for_edge(g, t, u, a, phi[u], phi[a], bit[a])
+        phi[u], alt[u] = t.neighbors(phi[a])[:2]
 
     def place_square(i, j):
         u, left, up = vid(i, j), vid(i, j - 1), vid(i - 1, j)
@@ -236,11 +247,6 @@ def grid_hom_spal5star(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
         if x == z and eps == -1:
             # collision case: redo the previous cell with its alternative
             phi[left], alt[left] = alt[left], phi[left]
-            if j - 1 >= 2:
-                anchor = vid(i, j - 2)
-            else:
-                anchor = vid(i - 1, j - 1)
-            bit[left] = _bit_for_edge(g, t, left, anchor, phi[left], phi[anchor], bit[anchor])
             x = phi[left]
             if x == z:
                 raise InternalInvariantViolation("collision survived revision")
@@ -248,21 +254,18 @@ def grid_hom_spal5star(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
         if len(cands) < 2:
             raise InternalInvariantViolation("property (P) failed on the target")
         phi[u], alt[u] = cands[0], cands[1]
-        bit[u] = _bit_for_edge(g, t, u, left, phi[u], x, bit[left])
 
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             if i == 1 and j == 1:
-                phi[0], bit[0], alt[0] = 0, False, 1
-            elif i == 1:
+                continue  # phi[0] = 0, with alternative 1
+            if i == 1:
                 place_simple(i, j, i, j - 1)
             elif j == 1:
                 place_simple(i, j, i - 1, j)
             else:
                 place_square(i, j)
-    return SignedHomomorphism(
-        tuple(phi), frozenset(v for v in range(g.n) if bit[v])
-    )
+    return _with_switch_set(g, t, phi)
 
 
 def grid4_hom_spal5(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
@@ -274,18 +277,13 @@ def grid4_hom_spal5(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
     _check_grid(g, n, m)
     t = _spal5()
     phi = [-1] * g.n
-    bit = [False] * g.n
 
     def vid(i, j):
         return (i - 1) * m + (j - 1)
 
     # first column: a path, mapped to distinct vertices 0..n-1
     for i in range(1, n + 1):
-        u = vid(i, 1)
-        phi[u] = i - 1
-        if i > 1:
-            up = vid(i - 1, 1)
-            bit[u] = _bit_for_edge(g, t, u, up, phi[u], phi[up], bit[up])
+        phi[vid(i, 1)] = i - 1
 
     def column_candidates(i, j):
         left = phi[vid(i, j - 1)]
@@ -305,8 +303,6 @@ def grid4_hom_spal5(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
         u = vid(i, j)
         for w in column_candidates(i, j):
             phi[u] = w
-            left = vid(i, j - 1)
-            bit[u] = _bit_for_edge(g, t, u, left, w, phi[left], bit[left])
             if fill_column(j, i + 1):
                 return True
         phi[u] = -1
@@ -315,9 +311,7 @@ def grid4_hom_spal5(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
     for j in range(2, m + 1):
         if not fill_column(j, 1):
             raise InternalInvariantViolation(f"column {j} admits no extension")
-    return SignedHomomorphism(
-        tuple(phi), frozenset(v for v in range(g.n) if bit[v])
-    )
+    return _with_switch_set(g, t, phi)
 
 
 # -- coloring of K_p+ box K_q- ----------------------------------------

@@ -8,8 +8,8 @@ is sound because absent target edges can be signed arbitrarily without
 invalidating a homomorphism.
 
 The solver assigns each source vertex a (target vertex, switch bit)
-literal with bitmask forward checking, always branching on a vertex with
-the smallest domain.  It keeps the unassigned vertices bucketed by
+literal over bitmask domains, always branching on a vertex with the
+smallest domain.  It keeps the unassigned vertices bucketed by
 domain size, as one bitmask per size, so choosing the next vertex reads
 at most 2 h.n buckets instead of scanning every vertex: a search node
 costs O(degree + h.n) bitmask operations, not O(n).  Symmetries used:
@@ -24,18 +24,22 @@ order and also answers ``signed_isomorphic``; it finds one automorphism
 per coset along a stabilizer chain and never the whole group.  An
 unbalanced source is refuted against a balanced target without search.
 
+One revision rule narrows every domain: a vertex cuts a neighbour's
+domain to the literals that some literal left to it allows.  Each new
+literal revises every unassigned neighbour, which is forward checking;
+where the search has already failed, each narrowed neighbour of a vertex
+wiped out before revises that vertex in turn, which is arc consistency.
 On a failure the search backjumps (forward checking with
 conflict-directed backjumping, FC-CBJ; Prosser, Computational
 Intelligence 9, 1993).  Every vertex records the stack depths whose
-literals narrowed its domain; a literal that wipes out a neighbour's
-domain blames that neighbour's narrowers, and a vertex that runs out of
-literals blames them together with its own narrowers, then returns
-straight to the deepest depth blamed.  The depths in between played no
-part in the failure, so their remaining subtrees hold no solution and
-are skipped.  Around the vertices whose domains have been wiped out
-before, the search also maintains arc consistency.  It decides as
-chronological backtracking does, but its map may differ from that
-search's first one; the CLI and the verify suites validate every map.
+literals narrowed its domain; a revision that wipes out a domain blames
+the narrowers of both its ends, and a vertex that runs out of literals
+blames them together with its own narrowers, then returns straight to
+the deepest depth blamed.  The depths in between played no part in the
+failure, so their remaining subtrees hold no solution and are skipped.
+Undo restores domains newest first.  The search decides as chronological
+backtracking does, but its map may differ from that search's first one;
+the CLI and the verify suites validate every map.
 
 The search is iterative, with an explicit stack, so its depth is not
 bounded by Python's recursion limit.  It is also resumable: it pauses
@@ -101,19 +105,19 @@ def validate(g: SignedGraph, h: SignedGraph, phi: SignedHomomorphism) -> bool:
 
 
 def _edge_masks(h: SignedGraph) -> dict[int, list[int]]:
-    """allowed[sigma][lit]: bitmask of neighbor literals compatible with an
+    """masks[sigma][lit]: bitmask of neighbor literals compatible with an
     edge of source sign sigma when this endpoint carries literal lit."""
     nl = 2 * h.n
-    allowed = {1: [0] * nl, -1: [0] * nl}
+    masks = {1: [0] * nl, -1: [0] * nl}
     for tu in range(h.n):
         for tv, pi in h.adjacency[tu]:
             b0, b1 = 1 << (2 * tv), 2 << (2 * tv)  # tv with switch bit 0, 1
             # equal switch bits keep the target sign pi, unequal ones flip it
-            allowed[pi][2 * tu] |= b0
-            allowed[-pi][2 * tu] |= b1
-            allowed[pi][2 * tu + 1] |= b1
-            allowed[-pi][2 * tu + 1] |= b0
-    return allowed
+            masks[pi][2 * tu] |= b0
+            masks[-pi][2 * tu] |= b1
+            masks[pi][2 * tu + 1] |= b1
+            masks[-pi][2 * tu + 1] |= b0
+    return masks
 
 
 def _switching_key(neg, perm, edges) -> int:
@@ -315,29 +319,25 @@ class _LiteralOrbits(dict):
         return least
 
 
-class _Support(dict):
-    """support[D]: the union of ``masks[lit]`` over the literals of D,
-    memoised on first look-up, so it grows only with the masks met."""
-
-    def __init__(self, masks: list[int]):
-        super().__init__()
-        self.masks = masks
-
-    def __missing__(self, domain: int) -> int:
-        union, rest = 0, domain
-        while rest:
-            low = rest & -rest
-            union |= self.masks[low.bit_length() - 1]
-            rest ^= low
-        self[domain] = union
-        return union
+def _fill_support(support: dict[int, int], domain: int) -> int:
+    """Fill ``support[domain]``, the union of the single-literal entries
+    ``support[1 << lit]`` over the literals of domain."""
+    union, rest = 0, domain
+    while rest:
+        low = rest & -rest
+        union |= support[low]
+        rest ^= low
+    support[domain] = union
+    return union
 
 
 @lru_cache(maxsize=256)
 def _target_search_data(h: SignedGraph):
-    allowed = _edge_masks(h)
-    support = {s: _Support(masks) for s, masks in allowed.items()}
-    return allowed, _LiteralOrbits(h), is_balanced(h)[0], support
+    # support[sigma][D]: the literals some literal of D allows across an
+    # edge of source sign sigma, seeded with the single-literal masks
+    support = {s: {1 << lit: mask for lit, mask in enumerate(masks)}
+               for s, masks in _edge_masks(h).items()}
+    return _LiteralOrbits(h), is_balanced(h)[0], support
 
 
 def find_homomorphism(g: SignedGraph, h: SignedGraph) -> Optional[SignedHomomorphism]:
@@ -364,18 +364,15 @@ def _search_turns(g: SignedGraph, h: SignedGraph):
     the sign of every closed walk, and a homomorphism maps a negative
     closed walk onto a negative closed walk.
     """
-    allowed, reps, balanced, support = _target_search_data(h)
+    reps, balanced, support = _target_search_data(h)
     if balanced and not is_balanced(g)[0]:
         yield False
         return
     full = (1 << (2 * h.n)) - 1
     # one BFS per component from its root, the vertex of highest degree
     # and then least id: the first of the component met in that order
-    by_degree = [[] for _ in range(max(map(len, g.adjacency), default=0) + 1)]
-    for v, row in enumerate(g.adjacency):
-        by_degree[len(row)].append(v)
     dist = [-1] * g.n
-    roots = itertools.chain.from_iterable(reversed(by_degree))
+    roots = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
     orders = [bfs_from(g, [root], dist) for root in roots if dist[root] < 0]
     orders.sort(key=min)
     pos = [0] * g.n  # BFS position within the vertex's component
@@ -384,7 +381,7 @@ def _search_turns(g: SignedGraph, h: SignedGraph):
             pos[v] = i
     assignment = [0] * g.n
     for order in orders:
-        sol = yield from _search(g, order, allowed, full, reps, support, pos)
+        sol = yield from _search(g, order, full, reps, support, pos)
         if sol is None:
             yield False
             return
@@ -396,51 +393,55 @@ def _search_turns(g: SignedGraph, h: SignedGraph):
     )
 
 
-def _search(g, order, allowed, full, reps, support, pos):
+def _search(g, order, full, reps, support, pos):
     """Forward checking with conflict-directed backjumping (FC-CBJ), and
     arc consistency where the search has failed, over literal bitmask
-    domains.
+    domains, as one revision rule.
 
     Variables are chosen dynamically, smallest domain first, ties to the
-    lowest BFS position (the root is forced first); forward checking
-    prunes every unassigned neighbor on each assignment, so domains
-    always reflect all assigned neighbors.  ``bysize[s]`` is a bitmask of
-    the positions off the stack whose domain has s literals, so the next
-    variable is the lowest mark of the first non-empty bucket and a node
-    costs O(degree + 2 h.n) bitmask operations, not O(n).  Every domain
-    change moves its position between buckets at once, so one undo loop
-    restores domains and buckets alike, whether the literal survived or
-    wiped a domain out.
+    lowest BFS position (the root is forced first).  ``bysize[s]`` is a
+    bitmask of the positions off the stack whose domain has s literals,
+    so the next variable is the lowest mark of the first non-empty
+    bucket and a node costs O(degree + 2 h.n) bitmask operations, not
+    O(n).  Every domain change moves its position between buckets at
+    once, so one undo loop restores domains and buckets alike.
 
-    Arc consistency (MAC; Sabin and Freuder, PPCP 1994) runs only where
-    the search has already failed (Stergiou, ECAI 2008).  A position
-    whose domain has been wiped out before in this search is hot, and a
-    neighbour of a hot one is warm.  Once a literal survives forward
-    checking, each warm position it narrowed is queued; a queued position
-    j revises each unassigned hot neighbour k to ``domains[k] &
-    support[s][domains[j]]``, the literals of k that some literal left to
-    j allows, and k is queued in turn if it is warm.
+    One rule narrows every domain: a source position with domain D and
+    explanation e cuts each neighbour k in its scope, across an edge of
+    sign s, to ``domains[k] & support[s][D]``, the literals of k that
+    some literal of D allows, and adds e to ``narrowed[k]``.  The literal
+    just tried at position i is the first source, with D its one literal,
+    e the current depth and every unassigned neighbour in scope: forward
+    checking, so domains always reflect all assigned neighbours.  A
+    position wiped out before in this search is hot, and a neighbour of a
+    hot one is warm.  Each warm position a revision narrows is queued and
+    is in turn a source, with its domain and ``narrowed``, whose scope is
+    its unassigned hot neighbours: arc consistency (MAC; Sabin and
+    Freuder, PPCP 1994) only where the search has already failed
+    (Stergiou, ECAI 2008).  A position a revision wipes out turns hot.
 
     Backjumping (Prosser 1993): ``narrowed[j]`` is the bitmask of the
     stack depths whose literals narrowed position j's domain, and each
-    frame carries a conflict set, a bitmask of depths above it.  When a
-    literal wipes out position j, the frame's set takes ``narrowed[j]``:
-    those literals alone leave j no literal.  A revision of k by j adds
-    ``narrowed[j]`` to ``narrowed[k]``, as the literals that cut j's
-    domain explain what the revision cuts from k; so a revision that
-    wipes k out gives the set ``narrowed[k] | narrowed[j]`` without the
-    current depth.  When a frame runs out of literals it also takes its
-    own ``narrowed``, which explains every literal missing from its
-    domain; the literals at the depths of the set then admit no
-    solution, whatever the depths between them hold.  So the search pops
-    back to the deepest depth in the set, skipping the subtrees of the
-    depths in between, which hold no solution, and merges the rest of
-    the set into that frame.  An empty set refutes the component at
-    once.  Undo restores each position's domain, bucket and ``narrowed``
-    from one entry per position per depth; a jump undoes the frames it
-    passes over in the same loop, one a pass.  The search decides as
-    chronological backtracking does, but which positions are hot depends
-    on its history, so its map may differ from that search's first one.
+    frame carries a conflict set, a bitmask of depths above it.  The
+    source's explanation accounts for what its revision cuts from k, so
+    a revision that wipes k out gives the frame's set ``narrowed[k] | e``
+    without the current depth: the literals at those depths alone leave
+    k no literal.  For forward checking that is ``narrowed[k]``, which never
+    holds the current depth's bit before the new literal revises k.
+    When a frame runs out of literals it also takes its own
+    ``narrowed``, which explains every literal missing from its domain;
+    the literals at the depths of the set then admit no solution,
+    whatever the depths between them hold.  So the search pops back to
+    the deepest depth in the set, skipping the subtrees of the depths in
+    between, which hold no solution, and merges the rest of the set into
+    that frame.  An empty set refutes the component at once.  Undo
+    restores each position's domain, bucket and ``narrowed`` from one
+    entry per revision, newest first, so a position revised twice in one
+    node gets back its value from before the node; a jump undoes the
+    frames it passes over in the same loop, one a pass.  The search
+    decides as chronological backtracking does, but which positions are
+    hot depends on its history, so its map may differ from that search's
+    first one.
 
     A variable tries only ``reps[T]`` of its domain, one literal per orbit
     of the target symmetries that fix every literal on the path, T being
@@ -455,10 +456,10 @@ def _search(g, order, allowed, full, reps, support, pos):
     every literal on the path; so it maps the tried literal's nogood, the
     literals at the depths of its conflict set, onto the skipped
     literal's, with the same depths.  The domains stay G_T-invariant, so
-    a skipped literal's representative is in the domain too: forward
-    checking cuts them by ``allowed`` masks of literals G_T fixes, and
-    arc consistency keeps them so whichever pairs it revises, as G_T
-    maps the support of an invariant domain onto itself.
+    a skipped literal's representative is in the domain too: every
+    revision's source domain is invariant, the new literal's too, as G_T
+    fixes it, and G_T maps the support of an invariant domain onto
+    itself.
 
     The search is iterative: ``stack`` holds one [variable, untried
     literals, undo list of the literal being tried, T above it or None
@@ -486,7 +487,7 @@ def _search(g, order, allowed, full, reps, support, pos):
         frame = stack[-1]
         i, rest, undo, fixed, conflict, mark = frame
         lits[i] = -1
-        for j, old, was in undo:
+        for j, old, was in reversed(undo):
             bit = 1 << j
             bysize[domains[j].bit_count()] ^= bit
             bysize[old.bit_count()] |= bit
@@ -511,80 +512,65 @@ def _search(g, order, allowed, full, reps, support, pos):
         undo = []
         frame[1] = rest ^ low
         frame[2] = undo
-        for j, s in nbrs[i]:
-            if lits[j] >= 0:
-                continue
-            old = domains[j]
-            new = old & allowed[s][lit]
-            if new != old:
-                if not new:  # wiped out by j's narrowers and this literal
-                    frame[4] = conflict | narrowed[j]
-                    if not hot >> j & 1:
-                        hot |= 1 << j
-                        for k, _ in nbrs[j]:
-                            warm |= 1 << k
-                    break
-                bit = 1 << j
-                bysize[old.bit_count()] ^= bit
-                bysize[new.bit_count()] |= bit
-                undo.append((j, old, narrowed[j]))
-                domains[j] = new
-                narrowed[j] |= mark
-        else:  # no domain wiped out
-            lits[i] = lit
-            touched = queue = 0
-            if warm:
-                for j, _, _ in undo:
-                    touched |= 1 << j
-                queue = touched & warm
-            while queue:  # arc consistency into the hot positions
-                low = queue & -queue
-                queue ^= low
-                j = low.bit_length() - 1
-                dj, nj = domains[j], narrowed[j]
-                for k, s in nbrs[j]:
-                    if not hot >> k & 1 or lits[k] >= 0:
-                        continue
-                    old = domains[k]
-                    new = old & support[s][dj]
-                    if new != old:
-                        if not new:  # by k's and j's narrowers
-                            frame[4] = conflict | (narrowed[k] | nj) & (mark - 1)
-                            lits[i] = -1
-                            queue = 0
-                            break
-                        bit = 1 << k
-                        if not touched & bit:
-                            touched |= bit
-                            undo.append((k, old, narrowed[k]))
-                        bysize[old.bit_count()] ^= bit
-                        bysize[new.bit_count()] |= bit
-                        domains[k] = new
-                        narrowed[k] |= nj
-                        queue |= bit & warm
-            if lits[i] < 0:
-                continue
-            if len(stack) == n:
-                return {order[i]: lits[i] for i in range(n)}
-            left -= 1
-            if not left:
-                yield None
-                left = turn
-            # smallest domain among the unassigned variables
-            size = 1
-            while not bysize[size]:
-                size += 1
-            bucket = bysize[size]
-            low = bucket & -bucket
-            bysize[size] = bucket ^ low
-            best = low.bit_length() - 1
-            if fixed is not None:
-                fixed |= 1 << (lit >> 1)
-                below = reps[fixed]
-                if below != full:
-                    stack.append([best, domains[best] & below, (), fixed, 0, mark << 1])
+        lits[i] = lit
+        # the new literal revises every unassigned neighbour, then each
+        # queued warm position j its unassigned hot ones
+        j, dj, nj, scope, queue = i, low, mark, -1, 0
+        while True:
+            for k, s in nbrs[j]:
+                if not scope >> k & 1 or lits[k] >= 0:
                     continue
-            stack.append([best, domains[best], (), None, 0, mark << 1])
+                old = domains[k]
+                try:
+                    new = old & support[s][dj]
+                except KeyError:
+                    new = old & _fill_support(support[s], dj)
+                if new != old:
+                    if not new:  # wiped out by k's and j's narrowers
+                        frame[4] = conflict | (narrowed[k] | nj) & (mark - 1)
+                        if not hot >> k & 1:
+                            hot |= 1 << k
+                            for w, _ in nbrs[k]:
+                                warm |= 1 << w
+                        lits[i] = -1
+                        queue = 0
+                        break
+                    bit = 1 << k
+                    bysize[old.bit_count()] ^= bit
+                    bysize[new.bit_count()] |= bit
+                    undo.append((k, old, narrowed[k]))
+                    domains[k] = new
+                    narrowed[k] |= nj
+                    queue |= bit & warm
+            if not queue:
+                break
+            low = queue & -queue
+            queue ^= low
+            j = low.bit_length() - 1
+            dj, nj, scope = domains[j], narrowed[j], hot
+        if lits[i] < 0:
+            continue
+        if len(stack) == n:
+            return {order[i]: lits[i] for i in range(n)}
+        left -= 1
+        if not left:
+            yield None
+            left = turn
+        # smallest domain among the unassigned variables
+        size = 1
+        while not bysize[size]:
+            size += 1
+        bucket = bysize[size]
+        low = bucket & -bucket
+        bysize[size] = bucket ^ low
+        best = low.bit_length() - 1
+        if fixed is not None:
+            fixed |= 1 << (lit >> 1)
+            below = reps[fixed]
+            if below != full:
+                stack.append([best, domains[best] & below, (), fixed, 0, mark << 1])
+                continue
+        stack.append([best, domains[best], (), None, 0, mark << 1])
 
 
 # -- target enumeration and chromatic number --------------------------

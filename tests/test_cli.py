@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 
 import jsonschema
 import pytest
@@ -200,6 +201,13 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, BALANCE_SCHEMA)
         assert payload["balanced"] is False and payload["witness_walk"]
+
+    def test_read_closes_the_input_file(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "bc.sg", make("BC", 4))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["balance", path]) == EXIT_OK
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_make_round_trips(self, tmp_path, capsys):
         out = tmp_path / "uc5.sg"

@@ -5,6 +5,7 @@ import pytest
 
 from sgw.constructions import (
     K18_NEGATIVE_EDGES,
+    _with_switch_set,
     build_grid,
     coloring_target,
     fig1c_grid,
@@ -149,6 +150,18 @@ class TestGridHomomorphisms:
     def test_spal5_row_cap(self):
         with pytest.raises(TooManyRowsError):
             grid4_hom_spal5(build_grid(5, 2), 5, 2)
+
+    def test_switch_set_from_the_vertex_map(self):
+        # the 2 x 2 grid's square goes onto hub edges of SPal5*, all
+        # positive: a positive square is mapped, a negative one is not
+        target = make("SPal5_star")
+        g = build_grid(2, 2)
+        hom = _with_switch_set(g, target, (5, 0, 1, 5))
+        assert hom.switch_set == frozenset() and validate(g, target, hom)
+        with pytest.raises(InternalInvariantViolation):
+            _with_switch_set(build_grid(2, 2, [-1, 1, 1, 1]), target, (5, 0, 1, 5))
+        with pytest.raises(InternalInvariantViolation):  # edge 01 onto 5 5
+            _with_switch_set(g, target, (5, 5, 1, 5))
 
 
 class TestKpqColoring:

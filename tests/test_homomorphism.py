@@ -94,7 +94,7 @@ def brute_force_hom(g, h):
 def search_calls(g, h):
     """The arguments ``_search_turns`` passes to ``_search``, one tuple per
     component of g (the balance shortcut aside)."""
-    allowed, reps, _, support = _target_search_data(h)
+    reps, _, support = _target_search_data(h)
     full = (1 << (2 * h.n)) - 1
     pos = [0] * g.n
     for comp in connected_components(g):
@@ -102,13 +102,13 @@ def search_calls(g, h):
         order = bfs_order(g, root)[0]
         for i, v in enumerate(order):
             pos[v] = i
-        yield g, order, allowed, full, reps, support, pos
+        yield g, order, full, reps, support, pos
 
 
-def unpruned(g, order, allowed, full, reps, support, pos):
+def unpruned(g, order, full, reps, support, pos):
     """``_search`` arguments for the trivial group: every variable tries
     its whole domain, the root included."""
-    return g, order, allowed, full, defaultdict(lambda: full), support, pos
+    return g, order, full, defaultdict(lambda: full), support, pos
 
 
 def search_oracle_pairs():
@@ -286,7 +286,7 @@ class TestFindHomomorphism:
         source = make("K_plus", 2)
         phi = find_homomorphism(source, target)
         assert phi is not None and validate(source, target, phi)
-        assert len(_target_search_data(target)[1].least) <= 8
+        assert len(_target_search_data(target)[0].least) <= 8
 
     def test_unbalanced_source_into_balanced_target(self):
         # refuted by balance alone; an exhaustive search ran over a minute
@@ -307,10 +307,11 @@ class TestFindHomomorphism:
         # the map is the same is no theorem but holds on all these pairs.
         # Both run with the trivial group, so every domain is tried whole
         for g, h in search_oracle_pairs():
+            masks = _edge_masks(h)
             for args in search_calls(g, h):
-                full = args[3]  # the root domain too
+                full = args[2]  # the root domain too
                 turns, found = drain(_search(*unpruned(*args)))
-                scan_turns, scan_found = drain(scan_search(*args[:4], full))
+                scan_turns, scan_found = drain(scan_search(*args[:2], masks, full, full))
                 assert found == scan_found
                 assert len(turns) <= len(scan_turns)
 
@@ -348,6 +349,21 @@ class TestFindHomomorphism:
         assert turns[-1] is False and len(turns) <= 10
         turns = list(_search_turns(g, two_negative))
         assert turns[-1] is False and len(turns) <= 100
+
+    @pytest.mark.parametrize("left,right,turns", [
+        (("BC", 5), ("UC", 5), [2, 57, 1]),
+        (("BC", 5), ("UC", 6), [1, 93, 1]),
+        (("UC", 6), ("UC", 5), [2, 212, 1]),
+    ], ids=["BC5xUC5", "BC5xUC6", "UC6xUC5"])
+    def test_order_four_turn_lists(self, left, right, turns):
+        # every order-4 refutation's yields, one count per target: any
+        # change to what propagation prunes or to its undo shows here.
+        # These searches revise some position twice within one node in
+        # hundreds of frames, so undo must restore newest first
+        g = cartesian_product(make(*left), make(*right))[0]
+        runs = [list(_search_turns(g, t)) for t in enumerate_targets(4)]
+        assert [len(run) for run in runs] == turns
+        assert all(run[-1] is False for run in runs)
 
     @pytest.mark.parametrize("left,right", [
         (("BC", 7), ("UC", 5)), (("UC", 7), ("BC", 5)), (("UC", 5), ("BC", 7)),
