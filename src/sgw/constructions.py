@@ -89,6 +89,8 @@ def make(name: str, *params: int) -> SignedGraph:
 def _params(name, params, want):
     if len(params) != want:
         raise BadParameterError(f"{name} takes {want} parameter(s), got {len(params)}")
+    if not all(isinstance(x, int) for x in params):
+        raise BadParameterError(f"{name} takes integer parameters, got {params!r}")
     return params
 
 
@@ -168,7 +170,10 @@ def build_grid(n: int, m: int, signs=None) -> SignedGraph:
     if signs is None:
         signs = [1] * len(edges)
     if isinstance(signs, Mapping):
-        signs = [signs[e] for e in edges]
+        try:
+            signs = [signs[e] for e in edges]
+        except KeyError as exc:
+            raise BadParameterError(f"no sign for grid edge {exc.args[0]}") from None
     if len(signs) != len(edges):
         raise BadParameterError("one sign per grid edge required")
     return SignedGraph(n * m, [(u, v, s) for (u, v), s in zip(edges, signs)])

@@ -142,7 +142,11 @@ class SignedGraph:
 
     def with_signs(self, sign_of: dict[tuple[int, int], int]) -> "SignedGraph":
         """Same underlying graph with signs replaced by ``sign_of[(u, v)]``."""
-        return SignedGraph(self.n, [(u, v, sign_of[(u, v)]) for u, v, _ in self.edges])
+        try:
+            edges = [(u, v, sign_of[(u, v)]) for u, v, _ in self.edges]
+        except KeyError as exc:
+            raise BadParameterError(f"no sign for edge {exc.args[0]}") from None
+        return SignedGraph(self.n, edges)
 
     # -- equality / hashing --------------------------------------------
 

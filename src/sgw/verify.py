@@ -182,6 +182,8 @@ def verify_kpq(max_p: int, max_q: int) -> Report:
     """chi_s(K_p+ box K_q-) = ceil(pq/2): constructive upper bound plus
     exhaustive lower bound, for every entry whose value is at most the
     largest target order, pq <= 2 * TARGET_ORDER_CAP."""
+    if min(max_p, max_q) < 2:
+        raise GuardExceededError("K_p+ box K_q- needs p, q >= 2")
     if max_p * max_q > 2 * TARGET_ORDER_CAP:
         raise GuardExceededError(
             f"exact lower bounds guarded at pq <= {2 * TARGET_ORDER_CAP}"
@@ -206,13 +208,14 @@ def verify_kpq(max_p: int, max_q: int) -> Report:
         entry(p, q)
         for p in range(2, max_p + 1)
         for q in range(2, max_q + 1)
-        if p * q <= 2 * TARGET_ORDER_CAP
     ]
     return report
 
 
 def verify_uc_bc_gap(max_q: int, max_p: int) -> Report:
     """chi_s(UC_q box BC_odd) > 4: no homomorphism to any order-4 target."""
+    if min(max_q, max_p) < 3:
+        raise GuardExceededError("UC_q box BC_odd needs q, odd >= 3")
     if max_q * max_p > 30:
         raise GuardExceededError("gap verification guarded at products <= 30 vertices")
     report = Report("uc_bc_gap")
@@ -233,7 +236,6 @@ def verify_uc_bc_gap(max_q: int, max_p: int) -> Report:
         entry(q, odd)
         for q in range(3, max_q + 1)
         for odd in range(3, max_p + 1, 2)
-        if q * odd <= 30
     ]
     return report
 

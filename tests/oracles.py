@@ -1,35 +1,34 @@
-"""Independent oracles and random generators shared by the test suite.
+"""Independent oracles, random generators and the digest that pins exact
+outputs, shared by the test suite.
 
-Everything here is deliberately naive and separate from the library's
-algorithms so that agreement is meaningful evidence of correctness.
+Each oracle answers its question by a naive method of its own, such as
+exhaustive search, one BFS per vertex or a closure over all pairs, and
+not by the library's algorithm for it, so that agreement is meaningful
+evidence of correctness.  Some rest on library primitives that other
+tests check on their own: ``SignedGraph``, ``is_connected``,
+``equivalent`` and ``canonical_form``, and in ``lemma_is_s_prime`` the
+ordinary ``factorize``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
-import math
 import random
-from collections import Counter, deque
 from itertools import combinations
-from typing import Optional
 
-from sgw.core import SignedGraph, bfs_order, connected_components, is_connected
+from sgw.core import SignedGraph, is_connected
 from sgw.errors import (
-    DifferentUnderlyingGraphError,
     DisconnectedError,
-    EmptyListError,
-    InternalInvariantViolation,
     NoEdgesError,
     OrderTooLargeError,
     TooLargeError,
 )
-from sgw.factor_ordinary import DisjointSet, OrdinaryDecomposition, _is_prime
+from sgw.factor_ordinary import OrdinaryDecomposition
 from sgw.factor_ordinary import factorize as _factorize
 from sgw.homomorphism import ISOMORPHISM_ORDER_CAP, TARGET_ORDER_CAP
-from sgw.product import CoordinateSystem
-from sgw.s_factor import SDecomposition
-from sgw.switching import _switch_flags, canonical_form, equivalent, switch
+from sgw.switching import canonical_form, equivalent
 
 
 def pair_keyed(g: SignedGraph, colors) -> dict:
@@ -41,9 +40,28 @@ def pair_keyed(g: SignedGraph, colors) -> dict:
 
 def factorize(g: SignedGraph) -> OrdinaryDecomposition:
     """The library's factorization with a pair-keyed ``edge_color``, the
-    form that the frozen references below were written against."""
+    form that ``lemma_is_s_prime`` reads."""
     od = _factorize(g)
     return dataclasses.replace(od, edge_color=pair_keyed(g, od.edge_color))
+
+
+def digest(obj) -> str:
+    """sha256 of ``obj`` in one canonical form, for pinning a library
+    output exactly: a graph as (n, edges), a set sorted, any other list or
+    tuple in its order, each as a tuple; None and ints as they are."""
+    return hashlib.sha256(repr(_canonical(obj)).encode()).hexdigest()
+
+
+def _canonical(obj):
+    if isinstance(obj, SignedGraph):
+        return obj.n, _canonical(obj.edges)
+    if isinstance(obj, (set, frozenset)):
+        return tuple(sorted(map(_canonical, obj)))
+    if isinstance(obj, (list, tuple)):
+        return tuple(map(_canonical, obj))
+    if obj is None or isinstance(obj, int):
+        return obj
+    raise TypeError(f"no canonical form for {type(obj).__name__}")
 
 
 def random_signature(rng: random.Random, edges):
@@ -626,593 +644,3 @@ def _layer_graph(g, verts, od, a_side) -> SignedGraph:
             if w in pos and u < w and od.edge_color[(u, w)] in a_set:
                 edges.append((pos[u], pos[w], s))
     return SignedGraph(len(verts), edges)
-
-
-# -- one BFS per switching function and the pairwise product fold -------
-#
-# References for ``switching._switch_flags`` and ``product.product_many``:
-# the separate breadth-first searches that balance, equivalence, the
-# canonical form and the bipartite test each ran, and the product built
-# as a left fold of two-factor products.  Bodies are kept as they were.
-
-
-def bfs_is_balanced(g: SignedGraph):
-    """Decide balance by BFS potential assignment per component.
-
-    Returns ``(True, X)`` with ``switch(g, X)`` all-positive, or
-    ``(False, cycle)`` where ``cycle`` is a closed walk of sign -1.
-    """
-    pot = [None] * g.n
-    parent = [-1] * g.n
-    for comp in connected_components(g):
-        root = comp[0]
-        pot[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, s in g.adjacency[u]:
-                want = pot[u] * s
-                if pot[v] is None:
-                    pot[v] = want
-                    parent[v] = u
-                    queue.append(v)
-                elif pot[v] != want:
-                    # unbalanced: close a walk through the BFS tree;
-                    # its sign is pot[u] * pot[v] * s = -1
-                    return False, _tree_walk(parent, u) + _tree_walk(parent, v)[::-1][1:] + [u]
-    return True, frozenset(v for v in range(g.n) if pot[v] == -1)
-
-
-def _tree_walk(parent: list[int], u: int) -> list[int]:
-    """Path u, parent(u), ..., root in the BFS forest."""
-    path = [u]
-    while parent[path[-1]] >= 0:
-        path.append(parent[path[-1]])
-    return path
-
-
-def bfs_equivalent(g1: SignedGraph, g2: SignedGraph):
-    """Switch set taking g1 to g2 edge-for-edge, or None.
-
-    Spanning-forest flag propagation: flag(v) xor flag(u) must equal
-    "signs of uv differ", verified on non-tree edges.
-    """
-    if g1.n != g2.n or g1.underlying_edges() != g2.underlying_edges():
-        raise DifferentUnderlyingGraphError("inputs must share an underlying graph")
-    flag = [None] * g1.n
-    for comp in connected_components(g1):
-        root = comp[0]
-        flag[root] = False
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, s in g1.adjacency[u]:
-                diff = s != g2.sign(u, v)
-                if flag[v] is None:
-                    flag[v] = flag[u] != diff
-                    queue.append(v)
-                elif (flag[u] != flag[v]) != diff:
-                    return None
-    return frozenset(v for v in range(g1.n) if flag[v])
-
-
-def bfs_canonical_form(g: SignedGraph):
-    """Deterministic representative of the switching class of ``g``.
-
-    Per component: BFS from the smallest vertex id, neighbors ascending,
-    switch so every BFS-tree edge becomes positive.  The result depends
-    only on the switching class; the returned set realizes it.
-    """
-    flag = [False] * g.n
-    for comp in connected_components(g):
-        root = min(comp)
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, s in g.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    eff = -s if flag[u] else s
-                    flag[v] = eff == -1
-                    queue.append(v)
-    x = frozenset(v for v in range(g.n) if flag[v])
-    return switch(g, x), x
-
-
-def bfs_bipartite(g: SignedGraph) -> bool:
-    """BFS 2-coloring of the underlying graph, one component at a time."""
-    side = [-1] * g.n
-    for root in range(g.n):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        queue = [root]
-        for u in queue:
-            for v, _ in g.adjacency[u]:
-                if side[v] < 0:
-                    side[v] = side[u] ^ 1
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    return False
-    return True
-
-
-def pairwise_cartesian_product(a: SignedGraph, b: SignedGraph):
-    """Signed Cartesian product with row-major vertex numbering."""
-    nb = b.n
-    edges = []
-    for ia in range(a.n):
-        base = ia * nb
-        for u, v, s in b.edges:
-            edges.append((base + u, base + v, s))
-    for u, v, s in a.edges:
-        for ib in range(nb):
-            edges.append((u * nb + ib, v * nb + ib, s))
-    g = SignedGraph(a.n * nb, edges)
-    coords = tuple((ia, ib) for ia in range(a.n) for ib in range(nb))
-    return g, CoordinateSystem((a, b), coords)
-
-
-def fold_product_many(gs):
-    """Left fold of pairwise_cartesian_product with flattened coordinates."""
-    if not gs:
-        raise EmptyListError("need at least one factor")
-    g = gs[0]
-    for h in gs[1:]:
-        g, _ = pairwise_cartesian_product(g, h)
-    # row-major id over all factors at once
-    coords = []
-    sizes = [f.n for f in gs]
-    for vid in range(g.n):
-        c = []
-        rest = vid
-        for size in reversed(sizes):
-            c.append(rest % size)
-            rest //= size
-        coords.append(tuple(reversed(c)))
-    return g, CoordinateSystem(tuple(gs), tuple(coords))
-
-
-# -- the BFS merge pass of the s-decomposition ----------------------------
-#
-# Reference for ``s_factor.s_decompose``: the decomposition as a BFS from
-# vertex 0 that switches, accepts or merges at each edge against its
-# projection onto the base layer of its current color.  Bodies are kept
-# as they were.
-
-
-def merge_pass_s_decompose(g: SignedGraph, debug_trace: Optional[list] = None) -> SDecomposition:
-    """Prime s-decomposition of a connected signed graph with >= 1 edge.
-
-    ``debug_trace``, if given, collects (event, data) tuples mirroring the
-    bookkeeping of the decomposition (including the Done set, which plays
-    no role in the computation itself).
-    """
-    od = factorize(g)
-    k = len(od.factors)
-    ocoords = od.coords.coords
-    merger, switched = _merge_colors(g, od, debug_trace)
-
-    # assemble final factors from merged colors, base layers through vertex 0
-    classes = []
-    seen_roots = {}
-    for j in range(k):
-        r = merger.find(j)
-        if r not in seen_roots:
-            seen_roots[r] = len(classes)
-            classes.append([])
-        classes[seen_roots[r]].append(j)
-
-    osizes = [f.n for f in od.factors]
-
-    def merged_coord(u: int, members: list[int]) -> int:
-        # mixed-radix index over the ordinary coordinates in the class
-        idx = 0
-        for j in members:
-            idx = idx * osizes[j] + ocoords[u][j]
-        return idx
-
-    factors = []
-    for members in classes:
-        size = 1
-        for j in members:
-            size *= osizes[j]
-        layer = [u for u in range(g.n)
-                 if all(ocoords[u][j] == 0 for j in range(k) if j not in members)]
-        fedges = []
-        lset = set(layer)
-        for u in layer:
-            for w, s in g.adjacency[u]:
-                if u < w and w in lset:
-                    if switched[u] != switched[w]:
-                        s = -s
-                    fedges.append((merged_coord(u, members), merged_coord(w, members), s))
-        factors.append(SignedGraph(size, fedges))
-
-    coords = tuple(
-        tuple(merged_coord(u, members) for members in classes) for u in range(g.n)
-    )
-    factor_of_edge = {
-        (u, v): seen_roots[merger.find(od.edge_color[(u, v)])] for u, v, _ in g.edges
-    }
-    return SDecomposition(
-        factors=tuple(factors),
-        coords=CoordinateSystem(tuple(factors), coords),
-        switch_set=frozenset(v for v in range(g.n) if switched[v]),
-        factor_of_edge=factor_of_edge,
-    )
-
-
-def _merge_colors(g: SignedGraph, od, debug_trace: Optional[list]):
-    """The BFS merge pass over the ordinary colors of ``od``.
-
-    Returns the color merger and the per-vertex switched flags.  A vertex
-    is switched at most once, before it joins S, so an edge's current
-    sign is its input sign times -1 when exactly one end is switched.
-    """
-    k = len(od.factors)
-    ocoords = od.coords.coords
-    oindex = od.coords.index
-    order, dist = bfs_order(g, 0)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-
-    merger = DisjointSet(k)
-    members = {j: [j] for j in range(k)}  # per class root, ascending
-
-    def project_edge(x: int, y: int, cls: list[int]) -> tuple[int, int]:
-        # zero out every ordinary coordinate outside the merged color
-        cx = [0] * k
-        cy = [0] * k
-        for j in cls:
-            cx[j] = ocoords[x][j]
-            cy[j] = ocoords[y][j]
-        return oindex[tuple(cx)], oindex[tuple(cy)]
-
-    in_s = [False] * g.n
-    switched = [False] * g.n
-
-    for x in order:
-        in_s[x] = True
-        for y, s in g.adjacency[x]:
-            if pos[y] < pos[x]:  # handled from y
-                continue
-            i = merger.find(od.edge_color[(min(x, y), max(x, y))])
-            xp, yp = project_edge(x, y, members[i])
-            flips = switched[x] ^ switched[y] ^ switched[xp] ^ switched[yp]
-            same = (s == g.sign(xp, yp)) != flips
-            if not same and not in_s[y]:
-                switched[y] = True
-                in_s[y] = True
-                if debug_trace is not None:
-                    debug_trace.append(("switch", y))
-            elif same and not in_s[y]:
-                in_s[y] = True
-            elif not same and in_s[y]:
-                merged = [i]
-                for z, _ in g.adjacency[y]:
-                    if dist[z] < dist[y]:
-                        merged.append(merger.find(od.edge_color[(min(y, z), max(y, z))]))
-                joined = False
-                for c in merged[1:]:
-                    joined |= merger.union(merged[0], c)
-                if joined:
-                    members = {}
-                    for j in range(k):
-                        members.setdefault(merger.find(j), []).append(j)
-                if debug_trace is not None:
-                    debug_trace.append(("merge", y, tuple(sorted(set(merged)))))
-        if debug_trace is not None:
-            debug_trace.append(("done", x))
-    return merger, switched
-
-
-# -- the all-corner ordinary factorization ---------------------------------
-#
-# Reference for ``factor_ordinary.factorize``: the square rules at every
-# vertex, then theta if that coloring does not coordinatize, read through
-# a tuple-keyed color dict, with coordinates from one multi-source BFS per
-# color.  Bodies are kept as they were, and so are the passes and the
-# BFS they call, on a pair-keyed edge-id dict and neighbor sets.
-
-
-def all_corners_factorize(g: SignedGraph) -> OrdinaryDecomposition:
-    """Unique prime decomposition of the underlying graph of ``g``."""
-    if g.m == 0:
-        raise NoEdgesError("cannot factorize an edgeless graph")
-    if not is_connected(g):
-        raise DisconnectedError("factorization needs a connected graph")
-
-    eid = {}
-    for idx, (u, v, _) in enumerate(g.edges):
-        eid[(u, v)] = idx
-        eid[(v, u)] = idx
-
-    ds = DisjointSet(g.m)
-    if _is_prime(g.n):  # factor orders multiply to n: one color
-        for idx in range(1, g.m):
-            ds.union(0, idx)
-    else:
-        _seed_square_rules(g, [set(g.neighbors(u)) for u in range(g.n)], eid, ds)
-    dec = _coordinatize(g, eid, ds)
-    if dec is None:
-        _theta_unions(g, eid, ds)
-        dec = _coordinatize(g, eid, ds)
-        if dec is None:
-            raise InternalInvariantViolation("the product relation did not coordinatize")
-    return dec
-
-
-def _coordinatize(g, eid, ds) -> Optional[OrdinaryDecomposition]:
-    """The decomposition colored by ``ds``, or None if it is no product."""
-    # color classes in order of first edge appearance
-    root_pos = {}
-    for idx in range(g.m):
-        root_pos.setdefault(ds.find(idx), len(root_pos))
-    k = len(root_pos)
-    color = {}
-    for (u, v, _s) in g.edges:
-        c = root_pos[ds.find(eid[(u, v)])]
-        color[(u, v)] = c
-        color[(v, u)] = c
-
-    # layer of each color through vertex 0, ordered by BFS
-    layer_verts: list[list[int]] = []
-    for c in range(k):
-        seen = {0}
-        order = [0]
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w, _ in g.adjacency[u]:
-                if color[(u, w)] == c and w not in seen:
-                    seen.add(w)
-                    order.append(w)
-                    queue.append(w)
-        layer_verts.append(order)
-
-    sizes = [len(lv) for lv in layer_verts]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total != g.n:
-        return None
-
-    # coordinates via nearest-vertex projections onto the base layers
-    per_color = []
-    for lv in layer_verts:
-        labels = _nearest_labels(g, lv)
-        if labels is None:
-            return None
-        per_color.append(labels)
-    coords = list(zip(*per_color))
-    if len(set(coords)) != g.n:
-        return None
-
-    # factor graphs from the base layers
-    pos_in_layer = [
-        {w: i for i, w in enumerate(lv)} for lv in layer_verts
-    ]
-    factors = []
-    for c in range(k):
-        verts = layer_verts[c]
-        pos = pos_in_layer[c]
-        vset = set(verts)
-        fedges = []
-        for u in verts:
-            for w, _ in g.adjacency[u]:
-                if w in vset and u < w and color[(u, w)] == c:
-                    fedges.append((pos[u], pos[w], 1))
-        factors.append(SignedGraph(len(verts), fedges))
-
-    # every edge must move exactly one coordinate, along its own color
-    for u, v, _s in g.edges:
-        c = color[(u, v)]
-        diffs = [j for j in range(k) if coords[u][j] != coords[v][j]]
-        if diffs != [c] or not factors[c].has_edge(coords[u][c], coords[v][c]):
-            return None
-
-    # exact reconstruction: edge count of the product must match
-    expected = 0
-    for c in range(k):
-        copies = g.n // sizes[c]
-        expected += factors[c].m * copies
-    if expected != g.m:
-        return None
-
-    if k == 1 and factors[0].n != g.n:
-        raise InternalInvariantViolation("single-color layer misses vertices")
-
-    cs = CoordinateSystem(tuple(factors), tuple(coords))
-    return OrdinaryDecomposition(tuple(factors), cs, {
-        (u, v): color[(u, v)] for u, v, _ in g.edges
-    })
-
-
-def _seed_square_rules(g, adj, eid, ds):
-    for x in range(g.n):
-        nbrs = g.neighbors(x)
-        for a in range(len(nbrs)):
-            y = nbrs[a]
-            for b in range(a + 1, len(nbrs)):
-                z = nbrs[b]
-                exy, exz = eid[(x, y)], eid[(x, z)]
-                if z in adj[y]:  # triangle: one layer
-                    ds.union(exy, exz)
-                    continue
-                chordless = []
-                chorded = False
-                for w in adj[y] & adj[z]:
-                    if w == x:
-                        continue
-                    if w in adj[x]:
-                        chorded = True
-                    else:
-                        chordless.append(w)
-                # each chordless square is met from all four corners with
-                # the same two opposite-edge unions; make them at the least
-                if x < y and x < z:
-                    for w in chordless:
-                        if x < w:
-                            ds.union(exy, eid[(z, w)])
-                            ds.union(exz, eid[(y, w)])
-                if chorded or len(chordless) != 1:
-                    ds.union(exy, exz)
-
-
-def _nearest_labels(g, layer):
-    """Index in ``layer`` of each vertex's unique nearest layer vertex.
-
-    One BFS from every layer vertex at once.  The nearest layer vertices
-    of u are the union of those of its shortest-path predecessors, so
-    some vertex has two of them exactly when some vertex sees two
-    predecessors with different labels; then the result is None.
-    """
-    label = [-1] * g.n
-    dist = [-1] * g.n
-    for i, w in enumerate(layer):
-        label[w] = i
-        dist[w] = 0
-    queue = deque(layer)
-    while queue:
-        v = queue.popleft()
-        dv = dist[v] + 1
-        lab = label[v]
-        for u, _ in g.adjacency[v]:
-            if dist[u] < 0:
-                dist[u] = dv
-                label[u] = lab
-                queue.append(u)
-            elif dist[u] == dv and label[u] != lab:
-                return None
-    return label
-
-
-def _theta_unions(g, eid, ds):
-    """Join each edge of a BFS tree with every edge theta-related to it.
-
-    Edges xy and uv are theta-related iff d(x, u) + d(y, v) differs from
-    d(x, v) + d(y, u), that is, iff d(., u) - d(., v) differs at x and y.
-    One BFS per vertex, taken in BFS order; a vertex's distances are kept
-    only until its last tree child has used them.  O(n * m) in all.
-    """
-    order, root = bfs_order(g, 0)
-    parent = {c: next(w for w, _ in g.adjacency[c] if root[w] == root[c] - 1)
-              for c in order[1:]}
-    children = Counter(parent.values())
-    dist = {0: root}
-    for c in order[1:]:
-        p = parent[c]
-        dc, dp = bfs_order(g, c)[1], dist[p]
-        diff = [a - b for a, b in zip(dc, dp)]
-        tree_edge = eid[(p, c)]
-        for idx, (x, y, _s) in enumerate(g.edges):
-            if diff[x] != diff[y]:
-                ds.union(tree_edge, idx)
-        children[p] -= 1
-        if not children[p]:
-            del dist[p]
-        if children[c]:
-            dist[c] = dc
-
-
-# -- the pair-keyed s-decomposition ----------------------------------------
-#
-# Reference for ``s_factor.s_decompose``: merged coordinates per vertex,
-# classes, ratio signs and the joins' edge colors read through dicts keyed
-# by vertex pairs.  Bodies are kept as they were; the ordinary
-# factorization and the switch flags are the library's.
-
-
-def pair_keyed_s_decompose(g: SignedGraph) -> SDecomposition:
-    """Prime s-decomposition of a connected signed graph with >= 1 edge."""
-    od = factorize(g)
-    ocoords = od.coords.coords
-    osizes = [f.n for f in od.factors]
-    root = _pair_keyed_joined_colors(g, od)
-    roots = sorted(set(root))
-    classes = [[j for j, r in enumerate(root) if r == c] for c in roots]
-    class_of = [roots.index(r) for r in root]
-
-    def merged_coord(u: int, members: list[int]) -> int:
-        # mixed-radix index over the ordinary coordinates in the class
-        idx = 0
-        for j in members:
-            idx = idx * osizes[j] + ocoords[u][j]
-        return idx
-
-    coords = tuple(
-        tuple(merged_coord(u, members) for members in classes) for u in range(g.n)
-    )
-    factor_of_edge = {(u, v): class_of[od.edge_color[(u, v)]] for u, v, _ in g.edges}
-
-    # factor c: the input's class-c edges whose other coordinates are 0
-    fedges = [[] for _ in classes]
-    for u, v, s in g.edges:
-        c = factor_of_edge[(u, v)]
-        cu = coords[u]
-        if sum(cu) == cu[c]:
-            fedges[c].append((cu[c], coords[v][c], s))
-    factors = tuple(
-        SignedGraph(math.prod(osizes[j] for j in members), edges)
-        for members, edges in zip(classes, fedges)
-    )
-
-    # the input's signs times the product's, in the input's adjacency order
-    ratio = {}
-    for u, v, s in g.edges:
-        c = factor_of_edge[(u, v)]
-        ratio[(u, v)] = ratio[(v, u)] = s * factors[c].sign(coords[u][c], coords[v][c])
-    x, _, bad = _switch_flags(
-        g, [[(v, ratio[(u, v)]) for v, _ in adj] for u, adj in enumerate(g.adjacency)]
-    )
-    if bad is not None:
-        raise InternalInvariantViolation("the s-factors' product is no switching of the input")
-    return SDecomposition(
-        factors=factors,
-        coords=CoordinateSystem(factors, coords),
-        switch_set=x,
-        factor_of_edge=factor_of_edge,
-    )
-
-
-def _pair_keyed_joined_colors(g: SignedGraph, od) -> list[int]:
-    """Least color of each ordinary color's class under the joins.
-
-    Colors i != j join when a square spanned by an i-edge and a j-edge is
-    negative.  Vertices are handled by the mixed-radix rank of their
-    ordinary coordinates; each square is read at its least corner x, from
-    x's neighbors y and z of higher rank, and its fourth corner is y + z - x.
-    """
-    k = len(od.factors)
-    root = list(range(k))
-    if k == 1:
-        return root
-    rank = [0] * g.n
-    for u, c in enumerate(od.coords.coords):
-        for f, cj in zip(od.factors, c):
-            rank[u] = rank[u] * f.n + cj
-    at = [0] * g.n  # vertex of each rank
-    for u, r in enumerate(rank):
-        at[r] = u
-    sign = [dict(adj) for adj in g.adjacency]  # per vertex: neighbor -> sign
-    joins_left = k - 1
-    for x, u in enumerate(at):
-        above = [(rank[v], v, od.edge_color[(u, v) if u < v else (v, u)], s)
-                 for v, s in g.adjacency[u] if rank[v] > x]
-        for a, (y, vy, i, s_xy) in enumerate(above):
-            for z, vz, j, s_xz in above[a + 1:]:
-                if root[i] == root[j]:
-                    continue
-                w = at[y + z - x]
-                if s_xy * s_xz * sign[vy][w] * sign[vz][w] < 0:
-                    # at most log2(n) colors: relabel the whole list, so
-                    # the test per square stays two list reads
-                    lo, hi = sorted((root[i], root[j]))
-                    root = [lo if r == hi else r for r in root]
-                    joins_left -= 1
-                    if not joins_left:
-                        return root
-    return root

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import warnings
@@ -28,7 +29,21 @@ from sgw.schemas import (
     SWITCH_SET_SCHEMA,
 )
 
-from oracles import pair_keyed_s_decompose, wagner
+from test_s_factor import each_color_apart
+
+from oracles import digest, wagner
+
+
+DECOMPOSE_PINS = {  # per console-script smoke graph: input and output digests
+    "m8c5": ("fc83cb590387e8db7758c060aedeb1e21b10336a952af41075c4f61393ce35c7",
+             "2005f399538accb45a1b2988aa803c46c6866cc7c9ba773a475dd8cbda77e33e"),
+    "uc83": ("15253456e03b9e8bdd156b8ab44e72c1ec726a64b9a8db4742905141223228eb",
+             "9f04769e87d995ff1b487c30c731c362dfcc5cb1abe4ce9a68d958ce9a96e324"),
+    "c84": ("77c2ab0f91362e2e2ba8ad6d7d3fc7acb5223eab491033991624f3002cd4b482",
+             "b737e9cc80a7d00f9f854827fc8f7be09678edd43286912c189e4fc876fcfb24"),
+    "q10": ("b9ce354647aa1e0280bb64ff172e879c3d68258210cbe781ea7b96b2c8bcef28",
+             "2bed75b970713bfc5e08fd1bf39ca89a053ccc17b2a819bbfed0dd681757c38f"),
+}
 
 
 def write_graph(tmp_path, name, g):
@@ -100,12 +115,29 @@ class TestCommands:
         assert main(["decompose", write_graph(tmp_path, "g.sg", g), "-o", str(out)]) == EXIT_OK
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, DECOMPOSITION_SCHEMA)
-        old = pair_keyed_s_decompose(g)
-        assert payload["factor_of_edge"] == [[u, v, i] for (u, v), i
-                                             in sorted(old.factor_of_edge.items())]
-        assert payload["coords"] == [list(c) for c in old.coords.coords]
-        assert payload["switch_set"] == sorted(old.switch_set)
+        # pinned where these fields equalled the pair-keyed decomposition's
+        inputs, outputs = DECOMPOSE_PINS[name]
+        assert digest(g) == inputs
+        assert digest([payload["factor_of_edge"], payload["coords"],
+                       payload["switch_set"]]) == outputs
         assert len(payload["factors"]) == len(parts)
+
+    @pytest.mark.parametrize("broken, replacement, message", [
+        ("sgw.s_factor._joined_colors", each_color_apart, "no switching"),
+        ("sgw.factor_ordinary._coordinatize", lambda *args: None, "did not coordinatize"),
+    ])
+    def test_decompose_invariant_violation_is_parse_exit(self, capsys, monkeypatch,
+                                                         broken, replacement, message):
+        # C5 x C7 with one edge flipped, read from stdin
+        g, _ = product_many([make("BC", 5), make("BC", 7)])
+        g = build(g.n, [(u, v, -s if i == 0 else s) for i, (u, v, s) in enumerate(g.edges)])
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(g)))
+        assert main(["decompose", "-"]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["factors"]) == 1  # s-prime
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(g)))
+        monkeypatch.setattr(broken, replacement)
+        assert main(["decompose", "-"]) == EXIT_PARSE
+        assert message in capsys.readouterr().err
 
     def test_chi_uc4_prints_4(self, tmp_path, capsys):
         path = write_graph(tmp_path, "uc4.sg", make("UC", 4))

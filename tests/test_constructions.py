@@ -77,6 +77,11 @@ class TestMake:
         with pytest.raises(BadParameterError):
             make("nonsense")
 
+    def test_non_integer_parameters_rejected(self):
+        for name, param in (("K_plus", 2.0), ("K_minus", "3"), ("BC", 4.0), ("UC", None)):
+            with pytest.raises(BadParameterError):
+                make(name, param)
+
 
 class TestPropertyP:
     def test_spal5_star_has_p(self):
@@ -107,6 +112,10 @@ class TestGrids:
             build_grid(2, 2, [1])
         with pytest.raises(BadParameterError):
             build_grid(0, 2)
+
+    def test_build_grid_sign_map_missing_an_edge(self):
+        with pytest.raises(BadParameterError, match=r"\(0, 2\)"):
+            build_grid(2, 2, {(0, 1): 1})
 
     def test_fig1c_shape(self):
         g = fig1c_grid()

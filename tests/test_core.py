@@ -196,6 +196,10 @@ class TestAccessors:
             for u, v, _ in self.g.edges
         )
 
+    def test_with_signs_missing_a_pair(self):
+        with pytest.raises(BadParameterError):
+            self.g.with_signs({(u, v): s for u, v, s in self.g.edges[1:]})
+
 
 class TestWalks:
     def test_walk_sign_multiplies(self):

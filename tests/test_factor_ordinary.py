@@ -1,13 +1,11 @@
-import dataclasses
 import random
 
 import pytest
 
-import oracles
 from sgw import factor_ordinary
 from sgw.constructions import make
 from sgw.core import SignedGraph, bfs_order, build, is_connected
-from sgw.errors import DisconnectedError, NoEdgesError
+from sgw.errors import DisconnectedError, InternalInvariantViolation, NoEdgesError
 from sgw.factor_ordinary import (
     DisjointSet,
     OrdinaryDecomposition,
@@ -18,8 +16,8 @@ from sgw.product import CoordinateSystem, product_many
 from sgw.s_factor import s_decompose
 
 from oracles import (
-    all_corners_factorize,
     brute_force_is_prime,
+    digest,
     nearest_layer_positions,
     nearest_projection_coords,
     pair_keyed,
@@ -29,6 +27,14 @@ from oracles import (
     reconstruct_product,
     wagner,
 )
+
+
+THETA_STAR_PINS = {  # per m: input and output digests
+    3: ("fe0e3005b96b007cced59d27cba77ef25d94b42b26cbafe586162f61e4760eb5",
+        "0e6ebc25b5f1936b3a6860aecfb4c2c5626edbef72ee65f9e71faadc5a074060"),
+    16: ("7fea57d5018feb412e8279f9d08e710657ee612de48a8d03fea615a040878273",
+         "3a91377f7548da6614187e63a9b1497123c444ac24928e4fb28d23a1ef3d34db"),
+}
 
 
 PASSES = ("_root_joins", "_tau", "_theta_star", "_theta_tree")  # factorize's, in order
@@ -115,21 +121,15 @@ def decoded(found) -> OrdinaryDecomposition:
                                  tuple(color))
 
 
-def both_coordinatize(g: SignedGraph, color):
-    """The library's and the frozen coordinate extraction on g under the
-    edge coloring ``color``, a color per edge id."""
+def coordinatized(g: SignedGraph, color):
+    """The library's coordinate extraction on g under the edge coloring
+    ``color``, a color per edge id, as a decomposition, or None."""
     ds = DisjointSet(g.m)
     first = {}
     for idx, c in enumerate(color):
         ds.union(first.setdefault(c, idx), idx)
-    pair_eid = {}
-    for idx, (u, v, _) in enumerate(g.edges):
-        pair_eid[(u, v)] = pair_eid[(v, u)] = idx
-    new = factor_ordinary._coordinatize(g, edge_ids(g), ds.labels(), *bfs_order(g, 0))
-    if new is not None:
-        new = decoded(new)
-        new = dataclasses.replace(new, edge_color=pair_keyed(g, new.edge_color))
-    return new, oracles._coordinatize(g, pair_eid, ds)
+    found = factor_ordinary._coordinatize(g, edge_ids(g), ds.labels(), *bfs_order(g, 0))
+    return None if found is None else decoded(found)
 
 
 class TestDisjointSet:
@@ -217,6 +217,12 @@ class TestFactorize:
         with pytest.raises(DisconnectedError):
             is_prime_ordinary(build(4, [(0, 1, 1), (2, 3, 1)]))
 
+    def test_no_coloring_that_coordinatizes_is_a_bug(self, monkeypatch):
+        # sigma always coordinatizes, so the last pass failing is a bug
+        monkeypatch.setattr(factor_ordinary, "_coordinatize", lambda *args: None)
+        with pytest.raises(InternalInvariantViolation, match="did not coordinatize"):
+            factorize(make("BC", 4))
+
 
 class TestCoordinates:
     def test_match_nearest_projection_oracle(self):
@@ -240,18 +246,6 @@ class TestCoordinates:
             assert list(dec.coords.coords) == nearest_projection_coords(
                 g, pair_keyed(g, dec.edge_color))
 
-    def test_nearest_labels_match_oracle_on_any_layer(self):
-        # arbitrary vertex sets, so ties are common
-        rng = random.Random(31)
-        ties = 0
-        for _ in range(300):
-            g = random_connected_signed_graph(rng, 2, 10)
-            layer = rng.sample(range(g.n), rng.randint(1, g.n))
-            expected = nearest_layer_positions(g, layer)
-            ties += expected is None
-            assert oracles._nearest_labels(g, layer) == expected
-        assert 0 < ties < 300
-
     def test_tie_rejects_coloring(self):
         # C6 with {01, 34} colored apart from the rest: the layers through 0
         # are [0, 1] and [0, 5, 4], so 2 x 3 = 6 vertices, but vertex 2 is
@@ -260,12 +254,12 @@ class TestCoordinates:
         assert coordinatize_with(g, [[(0, 1), (3, 4)],
                                      [(1, 2), (2, 3), (4, 5), (0, 5)]]) is None
         assert nearest_layer_positions(g, [0, 5, 4]) is None
-        assert oracles._nearest_labels(g, [0, 5, 4]) is None
 
     def test_sweep_matches_frozen_coordinates_on_any_coloring(self, monkeypatch):
         # the sweep alone may reject, when a vertex has no second color
-        # below it; the exact check decides the rest, so both must agree
-        # on every coloring, product or not
+        # below it; the exact check decides the rest, so the result on
+        # every coloring, product or not, is pinned where it equalled the
+        # frozen extraction's: a decomposition or None
         rejected = []
         sweep = factor_ordinary._sweep
 
@@ -280,6 +274,7 @@ class TestCoordinates:
         graphs += [relabel(rng, product_many([random_connected_signed_graph(rng, 2, 4)
                                               for _ in range(rng.randint(2, 3))])[0])
                    for _ in range(300)]
+        assert digest(graphs) == "37b7743b1020a88f6d1dc30035dc3b4b48b2128dc4b4d31218c1d779c72f6873"
         colorings = [(make("BC", 6), [0, 1, 1, 1, 0, 1])]  # the tie above
         for g in graphs:
             sigma = list(factorize(g).edge_color)
@@ -294,12 +289,12 @@ class TestCoordinates:
                 e = rng.randrange(g.m)
                 colorings.append((g, [x if d != e else (x + 1) % k
                                       for d, x in enumerate(sigma)]))
-        products = 0
-        for g, color in colorings:
-            new, old = both_coordinatize(g, color)
-            assert new == old
-            products += new is not None
-        assert products >= 300
+        found = [coordinatized(g, color) for g, color in colorings]
+        # sigma's variants are outputs too, so each coloring is pinned with its result
+        outputs = [(color, dec and (dec.factors, dec.coords.coords, dec.edge_color))
+                   for (_, color), dec in zip(colorings, found)]
+        assert digest(outputs) == "3533dd545c5a4fe2dac1a4c79a0ff3f7fad29d8f6fda6c5a3087a0f2bb9d0616"
+        assert sum(dec is not None for dec in found) >= 300
         assert sum(rejected) >= 10
 
     def test_other_digit_check_refuses_a_moved_edge(self):
@@ -418,9 +413,10 @@ class TestThetaStar:
         assert sorted(f.n for f in dec.factors) == sorted([8, m])
         assert runs == [0] + list(g.neighbors(0))
         if m <= 16:
-            old = all_corners_factorize(g)
-            assert pair_keyed(g, dec.edge_color) == old.edge_color
-            assert dec.coords.coords == old.coords.coords
+            # pinned where the coloring and coordinates equalled all-corners'
+            inputs, outputs = THETA_STAR_PINS[m]
+            assert digest(g) == inputs
+            assert digest([dec.edge_color, dec.coords.coords]) == outputs
 
     def test_full_theta_when_the_star_is_refused(self, monkeypatch):
         # nothing proves that the star suffices: with its coloring never
@@ -448,11 +444,13 @@ class TestThetaStar:
             twisted_prism(), random_connected_signed_graph(rng, 2, 3)])[0]) for _ in range(40)]
         graphs += [relabel(rng, product_many([
             wagner(), random_connected_signed_graph(rng, 2, 4)])[0]) for _ in range(30)]
+        assert digest(graphs) == "cfff8968b1524b2b7058d3515f6bd3d4358239ae51c4b2e24b16d02138f91aab"
+        # pinned where coloring, coordinates and factors equalled all-corners'
+        outputs = []
         for g in graphs:
-            new, old = factorize(g), all_corners_factorize(g)
-            assert pair_keyed(g, new.edge_color) == old.edge_color
-            assert new.coords.coords == old.coords.coords
-            assert new.factors == old.factors
+            new = factorize(g)
+            outputs.append((new.edge_color, new.coords.coords, new.factors))
+        assert digest(outputs) == "d2e46ab8b546db6c44eadeda443298671747f584a110cb7c5049a5a2de11c18f"
         assert len(refused) >= 50
 
 
@@ -515,8 +513,9 @@ def parity_graphs(rng: random.Random):
 
 class TestRootPass:
     def test_matches_all_corners(self, monkeypatch):
-        # both return the first coloring that coordinatizes, so sigma's;
-        # the count shows that the fallback passes still run
+        # factorize returns the first coloring that coordinatizes, sigma's,
+        # pinned where it equalled the all-corners factorization's; the
+        # count shows that the fallback passes still run
         fallbacks = []
         tau = factor_ordinary._tau
 
@@ -526,11 +525,13 @@ class TestRootPass:
 
         monkeypatch.setattr(factor_ordinary, "_tau", counting)
         graphs = parity_graphs(random.Random(47))
+        assert digest(graphs) == "7efb4862364171e25bae30c326463f6aba3b78250792ee19c671af353e4e5c25"
+        # pinned where coloring, coordinates and factors equalled all-corners'
+        outputs = []
         for g in graphs:
-            new, old = factorize(g), all_corners_factorize(g)
-            assert pair_keyed(g, new.edge_color) == old.edge_color
-            assert new.coords.coords == old.coords.coords
-            assert new.factors == old.factors
+            new = factorize(g)
+            outputs.append((new.edge_color, new.coords.coords, new.factors))
+        assert digest(outputs) == "603fddaa5de2eb1b0447d58acabac22d78d985e4f0f8357370dcd2f29640e0d2"
         assert len(graphs) >= 1500
         assert 0 < len(fallbacks) < len(graphs) // 4
 
@@ -612,10 +613,13 @@ class TestRootPass:
                   for _ in range(80)]
         graphs += [product_many([wagner(), make("BC", 4)])[0]]
         graphs = [g for g in graphs if not factor_ordinary._is_prime(g.n)]
+        assert digest(graphs) == "7bb61f8520331c6a48aedfa7d71738a3093b64cd9112cd57525b2e4d5c8d6b9e"
+        # pinned where the coloring and coordinates equalled all-corners'
+        outputs = []
         for g in graphs:
-            new, old = factorize(g), all_corners_factorize(g)
-            assert pair_keyed(g, new.edge_color) == old.edge_color
-            assert new.coords.coords == old.coords.coords
+            new = factorize(g)
+            outputs.append((new.edge_color, new.coords.coords))
+        assert digest(outputs) == "b244e648ed24a378c63c7b681c651105f005ee00006cad8eb87287a46c9efce1"
         assert len(seeded) == len(graphs) >= 60
         for g, labels in seeded:
             eid, order, dist = edge_ids(g), *bfs_order(g, 0)

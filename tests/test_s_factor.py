@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import random
 import sys
@@ -9,20 +8,19 @@ import pytest
 
 from sgw.constructions import make
 from sgw.core import SignedGraph, build
-from sgw.errors import DisconnectedError, NoEdgesError
+from sgw.errors import DisconnectedError, InternalInvariantViolation, NoEdgesError
 from sgw.factor_ordinary import factorize
 from sgw.homomorphism import signed_isomorphic
 from sgw.product import product_many
+from sgw import s_factor
 from sgw.s_factor import is_s_prime, s_decompose
-from sgw.switching import equivalent, switch
+from sgw.switching import canonical_form, switch
 
 from test_factor_ordinary import parity_graphs
 
 from oracles import (
+    digest,
     lemma_is_s_prime,
-    merge_pass_s_decompose,
-    pair_keyed,
-    pair_keyed_s_decompose,
     random_connected_signed_graph,
     random_signature,
     reconstruct_product,
@@ -54,6 +52,11 @@ def random_s_prime(rng, n_min=2, n_max=5):
 def flip_one(rng, g):
     i = rng.randrange(g.m)
     return SignedGraph(g.n, [(u, v, -s if j == i else s) for j, (u, v, s) in enumerate(g.edges)])
+
+
+def each_color_apart(g, color, sizes, rank):
+    """``_joined_colors`` that joins nothing."""
+    return list(range(len(sizes)))
 
 
 class TestLandmarks:
@@ -120,6 +123,14 @@ class TestSDecompose:
             ):
                 assert signed_isomorphic(f, b)
 
+    def test_unbalanced_ratio_is_a_bug(self, monkeypatch):
+        # C5 x C7 with one edge flipped is s-prime: with its two colors
+        # kept apart, the base layers' product is no switching of it
+        g = flip_one(random.Random(34), product_many([make("BC", 5), make("BC", 7)])[0])
+        monkeypatch.setattr(s_factor, "_joined_colors", each_color_apart)
+        with pytest.raises(InternalInvariantViolation, match="no switching"):
+            s_decompose(g)
+
     def test_errors(self):
         with pytest.raises(NoEdgesError):
             s_decompose(build(2, []))
@@ -179,16 +190,18 @@ class TestNegativeSquares:
             signs = SignedGraph(g.n, random_signature(rng, g.underlying_edges()))
             graphs += [g, flip_one(rng, g), signs]
         assert len(graphs) >= 900
+        assert digest(graphs) == "9075b29d49806f6988897c2ac76f61c107a95ce881b715ebbcbc9508c91e4d3c"
+        # pinned where the coordinates, the factor of each edge and each
+        # factor's switching class equalled those of the BFS merge pass
+        outputs = []
         for g in graphs:
-            dec, old = s_decompose(g), merge_pass_s_decompose(g)
-            assert dec.coords.coords == old.coords.coords
-            assert pair_keyed(g, dec.factor_of_edge) == old.factor_of_edge
-            assert len(dec.factors) == len(old.factors)
-            assert is_s_prime(g) == (len(old.factors) == 1)
-            for f, f_old in zip(dec.factors, old.factors):
-                assert equivalent(f, f_old) is not None
+            dec = s_decompose(g)
+            outputs.append((dec.coords.coords, dec.factor_of_edge,
+                            [canonical_form(f)[0] for f in dec.factors]))
+            assert is_s_prime(g) == (len(dec.factors) == 1)
             rebuilt = reconstruct_product(dec.factors, dec.coords.coords)
             assert rebuilt == switch(g, dec.switch_set)
+        assert digest(outputs) == "09b98a8520122d0f44fa241920d83fc6755845880590710be840a01b2dc66ae4"
 
     def test_a_join_stays_local(self):
         rng = random.Random(1201)
@@ -233,7 +246,7 @@ class TestPerturbedParityProducts:
 
 
 class TestPairKeyedParity:
-    def test_matches_pair_keyed_s_decompose(self):
+    def test_matches_the_pair_keyed_decomposition(self):
         # products relabelled at random, so that the ordinary coordinates'
         # rank is not the vertex number
         rng = random.Random(1300)
@@ -248,7 +261,11 @@ class TestPairKeyedParity:
             graphs += [g, flip_one(rng, g), signs]
         assert len(graphs) == 200
         graphs += decompose_inputs((1, 2, 3))
+        assert digest(graphs) == "78b777fc9b1665d61cf4b5d221801f220de91608960de77802c25a238c505e5a"
+        # pinned where every field equalled the pair-keyed decomposition's
+        outputs = []
         for g in graphs:
             dec = s_decompose(g)
-            assert dataclasses.replace(
-                dec, factor_of_edge=pair_keyed(g, dec.factor_of_edge)) == pair_keyed_s_decompose(g)
+            outputs.append((dec.factors, dec.coords.factors, dec.coords.coords,
+                            dec.switch_set, dec.factor_of_edge))
+        assert digest(outputs) == "7d10f1f5c2d7fe4193f150dc0312128c3f8a78a79dac4dce6ffd3f053da7251b"

@@ -93,12 +93,15 @@ class TestGuards:
             verify_cycle_table(2)
 
     def test_kpq_guard(self):
-        with pytest.raises(GuardExceededError):
-            verify_kpq(4, 4)
+        # too large, or selecting no entry, which would pass as "0/0"
+        for max_p, max_q in ((4, 4), (1, 1), (1, 7), (7, 1), (2, 0)):
+            with pytest.raises(GuardExceededError):
+                verify_kpq(max_p, max_q)
 
     def test_uc_bc_gap_guard(self):
-        with pytest.raises(GuardExceededError):
-            verify_uc_bc_gap(10, 9)
+        for max_q, max_p in ((10, 9), (2, 2), (2, 9), (9, 2)):
+            with pytest.raises(GuardExceededError):
+                verify_uc_bc_gap(max_q, max_p)
 
     def test_k18_requires_unbounded(self):
         with pytest.raises(GuardExceededError):
