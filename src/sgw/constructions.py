@@ -134,9 +134,9 @@ def _square_candidates(t: SignedGraph, x: int, y: int, z: int, eps: int) -> list
 def property_P_check(g: SignedGraph) -> bool:
     """Exhaustive check of property (P): every path x-y-z and sign eps
     (skipping x == z with eps = -1) admits two distinct closing vertices."""
-    for y in range(g.n):
-        for x in g.neighbors(y):
-            for z in g.neighbors(y):
+    for y, row in enumerate(g.adjacency):
+        for x, _ in row:
+            for z, _ in row:
                 for eps in (1, -1):
                     if x == z and eps == -1:
                         continue
@@ -233,6 +233,7 @@ def grid_hom_spal5star(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
     """
     _check_grid(g, n, m)
     t = _spal5_star()
+    adjacency = t.adjacency
     phi = [0] * g.n
     alt = [1] * g.n
 
@@ -243,7 +244,7 @@ def grid_hom_spal5star(g: SignedGraph, n: int, m: int) -> SignedHomomorphism:
         """Cell with a single assigned neighbor: take its two smallest
         neighbors in the target as choice and recorded alternative."""
         u, a = vid(i, j), vid(anchor_i, anchor_j)
-        phi[u], alt[u] = t.neighbors(phi[a])[:2]
+        (phi[u], _), (alt[u], _) = adjacency[phi[a]][:2]
 
     def place_square(i, j):
         u, left, up = vid(i, j), vid(i, j - 1), vid(i - 1, j)

@@ -29,13 +29,13 @@ class SignedGraph:
     """Immutable simple loopless graph with signed edges.
 
     The edge list is kept in canonical order (u < v, lexicographic) so that
-    serialized output is reproducible.  Adjacency lists are derived with
-    neighbors sorted ascending.  The pair-to-sign map behind ``has_edge`` and
-    ``sign``, and the hash, are built on first use.
+    serialized output is reproducible.  The adjacency lists (neighbors
+    ascending), the sign map behind ``has_edge``/``sign`` and the hash are
+    built on first read: a graph only passed on by its edges builds none.
     """
 
-    # ``_sign`` and ``_hash`` stay empty until has_edge/sign/__hash__ fill them
-    __slots__ = ("n", "edges", "adjacency", "_sign", "_hash")
+    # the lazy slots stay empty until adjacency/has_edge/sign/__hash__ fill them
+    __slots__ = ("n", "edges", "_adjacency", "_sign", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         if type(n) is not int or n < 0:
@@ -56,11 +56,12 @@ class SignedGraph:
             seen.add((u, v))
             canon.append((u, v, s))
         canon.sort()
-        self._build(n, canon)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(canon))
 
     @classmethod
     def _canonical(cls, n: int, edges: Sequence[Edge]) -> "SignedGraph":
-        """Graph on edges that are already canonical, with no validation.
+        """Graph on edges already canonical, unvalidated, with no adjacency yet.
 
         ``edges`` must be what ``__init__`` would have made of them: every
         (u, v, s) has ints 0 <= u < v < n and s the int 1 or -1, no pair
@@ -72,19 +73,9 @@ class SignedGraph:
         to one, sorted).
         """
         g = object.__new__(cls)
-        g._build(n, edges)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", tuple(edges))
         return g
-
-    def _build(self, n: int, edges: Sequence[Edge]) -> None:
-        # sorted edges reach each vertex's lower neighbors first, then its
-        # higher ones, both ascending: the lists come out sorted
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v, s in edges:
-            adj[u].append((v, s))
-            adj[v].append((u, s))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
     def __reduce__(self):
         # rebuilt through __init__, so a loaded graph is validated again and
@@ -102,7 +93,24 @@ class SignedGraph:
 
     # The lazy slots are read in try blocks, not through __getattr__: a
     # class with __getattr__ makes every attribute read of its instances,
-    # n and adjacency included, take CPython's slow path.
+    # n and edges included, take CPython's slow path.  Reading adjacency
+    # is a property call, so loops over vertices read it once.
+
+    @property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex: its (neighbor, sign) pairs, neighbors ascending."""
+        try:
+            return self._adjacency
+        except AttributeError:
+            pass
+        # sorted edges reach each vertex's lower neighbors first, then its
+        # higher ones, both ascending: the lists come out sorted
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for u, v, s in self.edges:
+            adj[u].append((v, s))
+            adj[v].append((u, s))
+        object.__setattr__(self, "_adjacency", tuple(map(tuple, adj)))
+        return self._adjacency
 
     def has_edge(self, u: int, v: int) -> bool:
         try:
@@ -189,6 +197,7 @@ def bfs_from(g: SignedGraph, sources: Iterable[int], dist: list[int]) -> list[in
     first, as given, then a FIFO BFS with neighbors ascending.  Each gets
     its distance from the nearest source in ``dist`` (-1 marks the
     unreached), so calls that share ``dist`` extend each other."""
+    adjacency = g.adjacency
     order = []
     for s in sources:
         if dist[s] < 0:
@@ -196,7 +205,7 @@ def bfs_from(g: SignedGraph, sources: Iterable[int], dist: list[int]) -> list[in
             order.append(s)
     for u in order:  # the list grows as the queue
         d = dist[u] + 1
-        for v, _ in g.adjacency[u]:
+        for v, _ in adjacency[u]:
             if dist[v] < 0:
                 dist[v] = d
                 order.append(v)

@@ -109,8 +109,8 @@ def _edge_masks(h: SignedGraph) -> dict[int, list[int]]:
     edge of source sign sigma when this endpoint carries literal lit."""
     nl = 2 * h.n
     masks = {1: [0] * nl, -1: [0] * nl}
-    for tu in range(h.n):
-        for tv, pi in h.adjacency[tu]:
+    for tu, row in enumerate(h.adjacency):
+        for tv, pi in row:
             b0, b1 = 1 << (2 * tv), 2 << (2 * tv)  # tv with switch bit 0, 1
             # equal switch bits keep the target sign pi, unequal ones flip it
             masks[pi][2 * tu] |= b0
@@ -172,12 +172,13 @@ def _switching_isomorphisms(g1: SignedGraph, g2: SignedGraph, pins=()):
         pos[a] = i
     # (placed neighbour, 1 if the edge is negative) in placing order, so
     # the BFS parent first
+    adjacency1, adjacency2 = g1.adjacency, g2.adjacency
     back = [[] for _ in range(n)]
     for i, a in enumerate(order):
-        for b, s in g2.adjacency[a]:
+        for b, s in adjacency2[a]:
             if pos[b] > i:
                 back[pos[b]].append((a, int(s < 0)))
-    sign1 = [dict(row) for row in g1.adjacency]
+    sign1 = [dict(row) for row in adjacency1]
     degree1 = [len(row) for row in sign1]
     image = [-1] * n
     flip = [0] * n
@@ -192,8 +193,8 @@ def _switching_isomorphisms(g1: SignedGraph, g2: SignedGraph, pins=()):
         else:
             (p, sp), checks = back[i][0], back[i][1:]
             choices = [(t, flip[p] ^ int(s < 0) ^ sp)
-                       for t, s in reversed(g1.adjacency[image[p]])]
-        degree = g2.degree(a)
+                       for t, s in reversed(adjacency1[image[p]])]
+        degree = len(adjacency2[a])
         return [(t, f) for t, f in choices
                 if not used[t] and degree1[t] == degree
                 and all(image[b] in sign1[t] and (sign1[t][image[b]] < 0) ^ flip[b] ^ f == sb
@@ -274,6 +275,7 @@ class _LiteralOrbits(dict):
 
     def _orbits(self, fixed: int) -> tuple[int, ...]:
         h = self.h
+        adjacency = h.adjacency
         identity = tuple(range(h.n))
         chain = []
         while fixed not in self.least:
@@ -299,12 +301,12 @@ class _LiteralOrbits(dict):
             _join(classes, *moving)
             # u's image t has u's degree and u's edges to T, their signs
             # switched by f
-            ties = {a: s for a, s in h.adjacency[u] if fixed >> a & 1}
+            ties = {a: s for a, s in adjacency[u] if fixed >> a & 1}
             settled = [2 * u]  # and then the literals found out of reach
-            for t in (h.neighbors(min(ties)) if ties else range(h.n)):
-                if fixed >> t & 1 or h.degree(t) != h.degree(u):
+            for t in ([t for t, _ in adjacency[min(ties)]] if ties else range(h.n)):
+                if fixed >> t & 1 or len(adjacency[t]) != len(adjacency[u]):
                     continue
-                signs = {a: s for a, s in h.adjacency[t] if fixed >> a & 1}
+                signs = {a: s for a, s in adjacency[t] if fixed >> a & 1}
                 for f in (0, 1):
                     if signs != {a: -s if f else s for a, s in ties.items()} or (
                             classes.find(2 * t + f) in {classes.find(x) for x in settled}):
@@ -369,10 +371,10 @@ def _search_turns(g: SignedGraph, h: SignedGraph):
         yield False
         return
     full = (1 << (2 * h.n)) - 1
-    # one BFS per component from its root, the vertex of highest degree
-    # and then least id: the first of the component met in that order
+    # one BFS per component from its first vertex in the order of degree
+    # descending, then id ascending (the sort is stable)
     dist = [-1] * g.n
-    roots = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
+    roots = sorted(range(g.n), key=[len(row) for row in g.adjacency].__getitem__, reverse=True)
     orders = [bfs_from(g, [root], dist) for root in roots if dist[root] < 0]
     orders.sort(key=min)
     pos = [0] * g.n  # BFS position within the vertex's component
@@ -470,7 +472,7 @@ def _search(g, order, full, reps, support, pos):
     """
     n = len(order)
     # ``order`` is a whole component, so it holds every neighbour
-    nbrs = [[(pos[w], s) for w, s in g.adjacency[v]] for v in order]
+    nbrs = [[(pos[w], s) for w, s in row] for row in map(g.adjacency.__getitem__, order)]
     domains = [full] * n
     narrowed = [0] * n  # depths whose literals narrowed each domain
     lits = [-1] * n
@@ -635,9 +637,11 @@ def underlying_chromatic_lower_bound(g: SignedGraph) -> int:
 
 def _greedy_clique(g: SignedGraph) -> int:
     best = 1
-    for v in sorted(range(g.n), key=g.degree, reverse=True):
+    adjacency = g.adjacency
+    degree = [len(row) for row in adjacency].__getitem__
+    for v in sorted(range(g.n), key=degree, reverse=True):
         clique = [v]
-        for w in sorted(g.neighbors(v), key=g.degree, reverse=True):
+        for w in sorted([w for w, _ in adjacency[v]], key=degree, reverse=True):
             if all(g.has_edge(w, u) for u in clique):
                 clique.append(w)
         best = max(best, len(clique))

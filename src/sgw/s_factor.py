@@ -34,7 +34,10 @@ in different classes.
    agree on the base layers, which are the factors, and both are positive
    on mixed squares, the product's as a product and the input's because
    a negative one would have joined its colors.  An unbalanced ratio is a
-   bug.
+   bug.  So s_decompose runs the ratio pass first with each color its own
+   class: balanced, it makes the input a switching of the product of its
+   ordinary base layers, so by point 1 no colors join.  Only an
+   unbalanced one runs the square scan, then the pass once more.
 4. Each factor is s-prime.  A split of a class into two groups a and b
    that made its factor a product would, by point 1, leave every base
    layer square spanned by an a-edge and a b-edge positive.  By the ladder
@@ -51,9 +54,9 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .core import SignedGraph
+from .core import SignedGraph, is_connected
 from .errors import InternalInvariantViolation
-from .factor_ordinary import _product_coloring
+from .factor_ordinary import _is_prime, _product_coloring
 from .product import CoordinateSystem
 from .switching import _switch_flags
 
@@ -69,44 +72,49 @@ class SDecomposition:
 def s_decompose(g: SignedGraph) -> SDecomposition:
     """Prime s-decomposition of a connected signed graph with >= 1 edge."""
     color, sizes, rank, _ = _product_coloring(g)
-    root = _joined_colors(g, color, sizes, rank)
-    roots = sorted(set(root))
-    classes = [[j for j, r in enumerate(root) if r == c] for c in roots]
-    class_of = [roots.index(r) for r in root]
-    edge_class = tuple(class_of[c] for c in color)
+    adjacency = g.adjacency
+    # each color its own class first; the squares only after an unbalanced ratio
+    for scan in (False, True):
+        root = _joined_colors(g, color, sizes, rank) if scan else list(range(len(sizes)))
+        roots = sorted(set(root))
+        classes = [[j for j, r in enumerate(root) if r == c] for c in roots]
+        class_of = [roots.index(r) for r in root]
+        edge_class = tuple(class_of[c] for c in color)
 
-    # the s-rank: each rank's ordinary digits regrouped class by class,
-    # digit j weighing place[j]; a table by rank, built digit by digit
-    grouped = [j for members in classes for j in members]
-    place = [prod(sizes[i] for i in grouped[grouped.index(j) + 1:]) for j in range(len(sizes))]
-    srank = [0]
-    for size, w in zip(sizes, place):
-        srank = [r + d for r in srank for d in range(0, size * w, w)]
-    srank = [srank[r] for r in rank]
-    at = dict(zip(srank, range(g.n)))  # vertex of each s-rank
+        # the s-rank: each rank's ordinary digits regrouped class by class,
+        # digit j weighing place[j]; a table by rank, built digit by digit
+        grouped = [j for members in classes for j in members]
+        place = [prod(sizes[i] for i in grouped[grouped.index(j) + 1:]) for j in range(len(sizes))]
+        srank = [0]
+        for size, w in zip(sizes, place):
+            srank = [r + d for r in srank for d in range(0, size * w, w)]
+        srank = [srank[r] for r in rank]
+        at = dict(zip(srank, range(g.n)))  # vertex of each s-rank
 
-    # factor c: the input's layer of class c through vertex 0, the
-    # vertices of s-rank i * stride, whose edges all have class c
-    digit = []  # per class: its stride, its size and (i, j) -> sign
-    for members in classes:
-        stride, size = place[members[-1]], prod(sizes[j] for j in members)
-        digit.append((stride, size, {
-            (i, srank[v] // stride): s for i in range(size) for v, s in g.adjacency[at[i * stride]]
-            if srank[v] < size * stride and not srank[v] % stride}))
+        # factor c: the input's layer of class c through vertex 0, the
+        # vertices of s-rank i * stride, whose edges all have class c
+        digit = []  # per class: its stride, its size and (i, j) -> sign
+        for members in classes:
+            stride, size = place[members[-1]], prod(sizes[j] for j in members)
+            digit.append((stride, size, {
+                (i, srank[v] // stride): s for i in range(size) for v, s in adjacency[at[i * stride]]
+                if srank[v] < size * stride and not srank[v] % stride}))
+
+        # the input's signs times the product's, in g.adjacency's order
+        ratio = [[] for _ in range(g.n)]
+        for (u, v, s), c in zip(g.edges, edge_class):
+            stride, size, signs = digit[c]
+            r = s * signs[srank[u] // stride % size, srank[v] // stride % size]
+            ratio[u].append((v, r))
+            ratio[v].append((u, r))
+        x, _, bad = _switch_flags(g, ratio)
+        if bad is None:
+            break
+    else:
+        raise InternalInvariantViolation("the s-factors' product is no switching of the input")
     # distinct pairs renumbered one to one from the input's: canonical once sorted
     factors = tuple(SignedGraph._canonical(size, sorted(
         (a, b, s) for (a, b), s in signs.items() if a < b)) for _, size, signs in digit)
-
-    # the input's signs times the product's, in g.adjacency's order
-    ratio = [[] for _ in range(g.n)]
-    for (u, v, s), c in zip(g.edges, edge_class):
-        stride, size, signs = digit[c]
-        r = s * signs[srank[u] // stride % size, srank[v] // stride % size]
-        ratio[u].append((v, r))
-        ratio[v].append((u, r))
-    x, _, bad = _switch_flags(g, ratio)
-    if bad is not None:
-        raise InternalInvariantViolation("the s-factors' product is no switching of the input")
     scoords = list(product(*(range(f.n) for f in factors)))  # indexed by s-rank
     cs = CoordinateSystem(factors, tuple(scoords[r] for r in srank))
     return SDecomposition(factors, cs, switch_set=x, factor_of_edge=edge_class)
@@ -114,7 +122,10 @@ def s_decompose(g: SignedGraph) -> SDecomposition:
 
 def is_s_prime(g: SignedGraph) -> bool:
     """True iff the connected signed graph ``g`` (with >= 1 edge) is s-prime:
-    negative squares join all its ordinary colors into one."""
+    negative squares join all its ordinary colors into one.  A connected
+    graph of prime order is, as factor orders multiply to n."""
+    if _is_prime(g.n) and is_connected(g):
+        return True
     return set(_joined_colors(g, *_product_coloring(g)[:3])) == {0}
 
 

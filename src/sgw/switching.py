@@ -122,7 +122,7 @@ def canonical_form(g: SignedGraph) -> tuple[SignedGraph, frozenset]:
 
 def classify_cycle(g: SignedGraph) -> CycleClass:
     """Class of a single signed cycle by (length parity, negative parity)."""
-    if g.n < 3 or g.m != g.n or any(g.degree(v) != 2 for v in range(g.n)):
+    if g.n < 3 or g.m != g.n or any(len(row) != 2 for row in g.adjacency):
         raise NotACycleError("input is not a single cycle")
     if not is_connected(g):
         raise NotACycleError("input is not connected")

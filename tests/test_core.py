@@ -22,6 +22,8 @@ from sgw.errors import (
     NotAWalkError,
     VertexOutOfRangeError,
 )
+from sgw.product import product_many
+from sgw.switching import canonical_form, switch
 
 from oracles import random_connected_signed_graph
 import random
@@ -115,19 +117,54 @@ class TestConstruction:
         assert g.adjacency == tuple(tuple(sorted(a)) for a in expected)
 
 
+def eager_adjacency(g):
+    """Each vertex's (neighbor, sign) pairs, neighbors ascending, built
+    from the edge list at once."""
+    rows = [[] for _ in range(g.n)]
+    for u, v, s in g.edges:
+        rows[u].append((v, s))
+        rows[v].append((u, s))
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
+class TestLazyAdjacency:
+    def _graphs(self):
+        """One graph from each constructor, none of them read yet."""
+        edges = [(0, 1, 1), (0, 3, -1), (1, 2, -1), (2, 3, 1), (3, 4, -1)]  # canonical
+        yield SignedGraph(5, edges)
+        yield SignedGraph._canonical(5, edges)
+        yield switch(build(5, edges), {0, 2})
+        yield product_many([build(5, edges), build(2, [(0, 1, -1)])])[0]
+        yield canonical_form(build(5, edges))[0]
+
+    def test_built_on_first_read(self):
+        for g in self._graphs():
+            hash(g)
+            g.has_edge(0, 1)
+            with pytest.raises(AttributeError):
+                g._adjacency  # the other lazy slots leave it empty
+            adjacency = g.adjacency
+            assert adjacency == eager_adjacency(g)
+            assert g.adjacency is adjacency  # built once
+            assert g.neighbors(3) == tuple(v for v, _ in adjacency[3])
+            assert g.degree(3) == len(adjacency[3])
+
+
 class TestPickling:
-    """Copies and pickles go through __init__, whether or not the lazy sign
-    map and hash have been built."""
+    """Copies and pickles go through __init__, whether or not the lazy
+    adjacency, sign map and hash have been built."""
 
     def _graphs(self):
         yield build(0, [])
         yield build(4, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, -1)])
         yield build(5, [(3, 4, -1)])
 
-    @pytest.mark.parametrize("fill", [False, True])
+    @pytest.mark.parametrize("fill", [False, True, "adjacency"])
     def test_round_trips(self, fill):
         for g in self._graphs():
-            if fill:
+            if fill == "adjacency":
+                g.adjacency
+            elif fill:
                 hash(g)
                 g.has_edge(0, 1)
             for h in (
@@ -144,12 +181,15 @@ class TestPickling:
                 )
                 with pytest.raises(AttributeError):
                     h.n = 1
+                with pytest.raises(AttributeError):
+                    h.adjacency = g.adjacency
 
     def test_pickle_stores_only_the_edges(self):
         g = build(3, [(0, 1, 1), (1, 2, -1)])
         before = pickle.dumps(g)
         g.sign(0, 1)
         hash(g)
+        g.adjacency
         assert pickle.dumps(g) == before
 
     def test_loading_validates_again(self):

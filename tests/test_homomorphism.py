@@ -334,6 +334,8 @@ class TestFindHomomorphism:
                     tuple(assignment[v] >> 1 for v in range(g.n)),
                     frozenset(v for v in range(g.n) if assignment[v] & 1))
                 assert validate(g, h, phi)
+                # the library passes _search these arguments, roots included
+                assert find_homomorphism(g, h) == phi
 
     def test_backjumping_shortens_order_four_refutations(self):
         # BC5□UC5 maps to no signed K4.  Chronological backtracking took

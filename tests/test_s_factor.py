@@ -1,15 +1,13 @@
-import importlib.util
+import itertools
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from sgw.constructions import make
 from sgw.core import SignedGraph, build
 from sgw.errors import DisconnectedError, InternalInvariantViolation, NoEdgesError
-from sgw.factor_ordinary import factorize
+from sgw.factor_ordinary import _product_coloring, factorize
 from sgw.homomorphism import signed_isomorphic
 from sgw.product import product_many
 from sgw import s_factor
@@ -29,16 +27,55 @@ from oracles import (
 
 def decompose_inputs(seeds):
     """The graphs that the decompose benchmark's operations for ``seeds``
-    hand to s_decompose: each product or graph, switched."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    hand to s_decompose: each product or graph, switched by the
+    operation's first random set.  The benchmark's seeded construction is
+    copied here, so that its workloads may change without moving this
+    test's pins."""
     graphs = []
     for seed in seeds:
-        for op in workloads.build("decompose", seed):
-            graph, factors, x, _ = op.inputs
-            graphs.append(switch(product_many(list(factors))[0] if factors else graph, x))
+        rng = random.Random(f"decompose/{seed}")
+        unbalanced = itertools.cycle((True, False))
+
+        def cycle(n):
+            odd = next(unbalanced)
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            if (signs.count(-1) % 2 == 1) != odd:
+                signs[rng.randrange(n)] *= -1
+            return SignedGraph(n, [(i, (i + 1) % n, signs[i]) for i in range(n)])
+
+        def complete(p, sign=None):
+            if sign is None:
+                sign = -1 if next(unbalanced) else 1
+            return SignedGraph(p, [(u, v, sign) for u in range(p) for v in range(u + 1, p)])
+
+        def random_signs(g):
+            return SignedGraph(g.n, random_signature(rng, g.underlying_edges()))
+
+        k2 = complete(2, 1)
+        products = [
+            [cycle(8) for _ in range(4)],
+            [k2] * 6 + [cycle(5), cycle(5)],
+            [k2] * 7 + [cycle(7)],
+            [complete(5), complete(6), cycle(11)],
+            [cycle(7), cycle(11), cycle(13)],
+            [cycle(31), cycle(37)],
+        ]
+        inputs = [product_many(factors)[0] for factors in products] + [
+            flip_one(rng, product_many([cycle(10) for _ in range(3)])[0]),
+            flip_one(rng, product_many([complete(5), cycle(11), cycle(13)])[0]),
+            random_signs(product_many([cycle(9), cycle(11), complete(5, 1)])[0]),
+            random_signs(product_many([k2] * 8)[0]),
+        ]
+        for p, b in ((503, 97), (1009, 211)):
+            edges = sorted({(min(i, (i + d) % p), max(i, (i + d) % p))
+                            for i in range(p) for d in (1, b)})
+            inputs.append(SignedGraph(p, random_signature(random.Random(f"circulant/{p}"), edges)))
+        for g in inputs:
+            # each operation draws its switch set, then a set for its check
+            x = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+            graphs.append(switch(g, x))
+            for _ in range(g.n):
+                rng.random()
     return graphs
 
 
@@ -57,6 +94,10 @@ def flip_one(rng, g):
 def each_color_apart(g, color, sizes, rank):
     """``_joined_colors`` that joins nothing."""
     return list(range(len(sizes)))
+
+
+def not_called(*args):
+    raise AssertionError("called")
 
 
 class TestLandmarks:
@@ -125,11 +166,48 @@ class TestSDecompose:
 
     def test_unbalanced_ratio_is_a_bug(self, monkeypatch):
         # C5 x C7 with one edge flipped is s-prime: with its two colors
-        # kept apart, the base layers' product is no switching of it
+        # kept apart, the base layers' product is no switching of it; so
+        # are the decompose benchmark's perturbed products
         g = flip_one(random.Random(34), product_many([make("BC", 5), make("BC", 7)])[0])
-        monkeypatch.setattr(s_factor, "_joined_colors", each_color_apart)
-        with pytest.raises(InternalInvariantViolation, match="no switching"):
-            s_decompose(g)
+        scans = []
+        monkeypatch.setattr(s_factor, "_joined_colors",
+                            lambda *args: scans.append(1) or each_color_apart(*args))
+        for h in [g] + decompose_inputs((1,))[6:10]:
+            with pytest.raises(InternalInvariantViolation, match="no switching"):
+                s_decompose(h)
+        assert len(scans) == 5
+
+    def test_balanced_ratio_reads_no_square(self, monkeypatch):
+        # the decompose benchmark's six product signatures, switched: their
+        # s-prime factors are the factors of each product
+        monkeypatch.setattr(s_factor, "_joined_colors", not_called)
+        found = [s_decompose(g) for g in decompose_inputs((1,))[:6]]
+        assert [sorted((f.n, f.m) for f in dec.factors) for dec in found] == [
+            [(8, 8)] * 4, [(2, 1)] * 6 + [(5, 5)] * 2, [(2, 1)] * 7 + [(7, 7)],
+            [(5, 10), (6, 15), (11, 11)], [(7, 7), (11, 11), (13, 13)], [(31, 31), (37, 37)]]
+
+    def test_unbalanced_ratio_takes_the_scanned_classes(self):
+        # products of three factors with one edge flipped, which joins
+        # every color, or with the copies of one first-factor edge flipped
+        # at second coordinate 0, which joins the first two factors alone
+        rng = random.Random(35)
+        kinds = Counter()
+        for i in range(60):
+            parts = [random_connected_signed_graph(rng, 2, 4) for _ in range(3)]
+            g, cs = product_many(parts)
+            if i % 2:
+                u, v, _ = rng.choice(parts[0].edges)
+                flipped = {(cs.vertex((u, 0, c)), cs.vertex((v, 0, c))) for c in range(parts[2].n)}
+                g = SignedGraph(g.n, [(a, b, -s if (a, b) in flipped else s) for a, b, s in g.edges])
+            else:
+                g = flip_one(rng, g)
+            g = switch(g, [v for v in range(g.n) if rng.random() < 0.5])
+            color, sizes, rank, _ = _product_coloring(g)
+            root = s_factor._joined_colors(g, color, sizes, rank)
+            roots = sorted(set(root))
+            assert s_decompose(g).factor_of_edge == tuple(roots.index(root[c]) for c in color)
+            kinds[len(roots) == 1, len(roots) == len(sizes)] += 1
+        assert kinds[True, False] >= 25 and kinds[False, False] >= 25
 
     def test_errors(self):
         with pytest.raises(NoEdgesError):
@@ -140,6 +218,11 @@ class TestSDecompose:
             is_s_prime(build(1, []))
         with pytest.raises(DisconnectedError):
             is_s_prime(build(4, [(0, 1, 1), (2, 3, -1)]))
+        # prime orders, which need no coloring when connected
+        with pytest.raises(NoEdgesError):
+            is_s_prime(build(5, []))
+        with pytest.raises(DisconnectedError):
+            is_s_prime(build(5, [(0, 1, 1)]))
 
 
 class TestSPrimality:
@@ -159,6 +242,11 @@ class TestSPrimality:
             if len(factorize(g).factors) >= 2:
                 answers[prime] += 1
         assert min(answers[True], answers[False]) >= 50
+
+    def test_prime_order_needs_no_coloring(self, monkeypatch):
+        graphs = [make("UC", 7), make("K_minus", 5), decompose_inputs((1,))[-1]]
+        monkeypatch.setattr(s_factor, "_product_coloring", not_called)
+        assert all(is_s_prime(g) for g in graphs)
 
     def test_ten_factor_cube(self):
         q10, _ = product_many([make("K_plus", 2)] * 10)
