@@ -46,14 +46,15 @@ bounded by Python's recursion limit.  It is also resumable: it pauses
 after every turn of g.n + 1 nodes (one backtrack-free descent) and
 resumes where it stopped.  ``chromatic_number`` runs the targets of an
 order round-robin, one turn each, so a hard-to-refute target cannot
-starve an easy satisfiable one and no search is ever restarted.
+starve an easy satisfiable one and no search is ever restarted; all of
+them share one set-up of the source (``_Source``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .core import DisjointSet, SignedGraph, bfs_from, connected_components
@@ -64,7 +65,7 @@ from .errors import (
     TooLargeError,
     VertexOutOfRangeError,
 )
-from .switching import _switch_flags, is_balanced
+from .switching import is_balanced
 
 TARGET_ORDER_CAP = 7
 
@@ -355,35 +356,60 @@ def find_homomorphism(g: SignedGraph, h: SignedGraph) -> Optional[SignedHomomorp
     return phi or None
 
 
-def _search_turns(g: SignedGraph, h: SignedGraph):
+class _Source:
+    """The source's half of the search set-up, each part built on first
+    read: ``components``, one (BFS order, neighbour lists by position)
+    pair per component, and ``balanced``, read only against a balanced
+    target.  ``chromatic_number`` shares one across all its targets."""
+
+    def __init__(self, g: SignedGraph):
+        self.g = g
+
+    @cached_property
+    def components(self):
+        # one BFS per component from its first vertex in the order of
+        # degree descending, then id ascending (the sort is stable)
+        g = self.g
+        adjacency = g.adjacency
+        dist = [-1] * g.n
+        roots = sorted(range(g.n), key=[len(row) for row in adjacency].__getitem__, reverse=True)
+        orders = [bfs_from(g, [root], dist) for root in roots if dist[root] < 0]
+        orders.sort(key=min)
+        pos = [0] * g.n  # BFS position within the vertex's component
+        for order in orders:
+            for i, v in enumerate(order):
+                pos[v] = i
+        # an order is a whole component, so it holds every neighbour
+        return [(order, [[(pos[w], s) for w, s in adjacency[v]] for v in order])
+                for order in orders]
+
+    @cached_property
+    def balanced(self) -> bool:
+        return is_balanced(self.g)[0]
+
+
+def _search_turns(g: SignedGraph, h: SignedGraph, source: Optional[_Source] = None):
     """Resumable complete search for a homomorphism g -> h.
 
     Yields None after every turn of g.n + 1 search nodes (one
     backtrack-free descent), so a caller can pause the search between
     turns and resume it later without repeating work.  The last value it
-    yields is the homomorphism, or False when there is none.  An
+    yields is the homomorphism, or False when there is none.  ``source``
+    is g's search set-up (``_Source``), built here when not given.  An
     unbalanced g is refuted at once against a balanced h: switching keeps
     the sign of every closed walk, and a homomorphism maps a negative
     closed walk onto a negative closed walk.
     """
     reps, balanced, support = _target_search_data(h)
-    if balanced and not is_balanced(g)[0]:
+    if source is None:
+        source = _Source(g)
+    if balanced and not source.balanced:
         yield False
         return
     full = (1 << (2 * h.n)) - 1
-    # one BFS per component from its first vertex in the order of degree
-    # descending, then id ascending (the sort is stable)
-    dist = [-1] * g.n
-    roots = sorted(range(g.n), key=[len(row) for row in g.adjacency].__getitem__, reverse=True)
-    orders = [bfs_from(g, [root], dist) for root in roots if dist[root] < 0]
-    orders.sort(key=min)
-    pos = [0] * g.n  # BFS position within the vertex's component
-    for order in orders:
-        for i, v in enumerate(order):
-            pos[v] = i
     assignment = [0] * g.n
-    for order in orders:
-        sol = yield from _search(g, order, full, reps, support, pos)
+    for order, nbrs in source.components:
+        sol = yield from _search(order, nbrs, full, reps, support, g.n + 1)
         if sol is None:
             yield False
             return
@@ -395,10 +421,13 @@ def _search_turns(g: SignedGraph, h: SignedGraph):
     )
 
 
-def _search(g, order, full, reps, support, pos):
+def _search(order, nbrs, full, reps, support, turn):
     """Forward checking with conflict-directed backjumping (FC-CBJ), and
     arc consistency where the search has failed, over literal bitmask
-    domains, as one revision rule.
+    domains, as one revision rule, on one component of the source.
+
+    ``order`` and ``nbrs`` are the component's pair from ``_Source``:
+    its BFS order and each position's (neighbour position, sign) pairs.
 
     Variables are chosen dynamically, smallest domain first, ties to the
     lowest BFS position (the root is forced first).  ``bysize[s]`` is a
@@ -467,12 +496,10 @@ def _search(g, order, full, reps, support, pos):
     literals, undo list of the literal being tried, T above it or None
     once the symmetries are trivial, conflict set, depth as a bit] frame
     per assigned variable plus the one being tried.  A generator: it
-    yields None after every turn of g.n + 1 nodes and returns the
-    {vertex: literal} map, or None.
+    yields None after every ``turn`` nodes (g.n + 1 for the whole source)
+    and returns the {vertex: literal} map, or None.
     """
     n = len(order)
-    # ``order`` is a whole component, so it holds every neighbour
-    nbrs = [[(pos[w], s) for w, s in row] for row in map(g.adjacency.__getitem__, order)]
     domains = [full] * n
     narrowed = [0] * n  # depths whose literals narrowed each domain
     lits = [-1] * n
@@ -480,7 +507,6 @@ def _search(g, order, full, reps, support, pos):
     width = full.bit_length()
     bysize = [0] * (width + 1)
     bysize[width] = (1 << n) - 2  # every position but the root
-    turn = g.n + 1
     root = reps[0]
     stack = [[0, root, (), 0 if root != full else None, 0, 1]]
     left = turn - 1  # the root node
@@ -621,30 +647,43 @@ def enumerate_targets(k: int) -> tuple[SignedGraph, ...]:
 
 
 def underlying_chromatic_lower_bound(g: SignedGraph) -> int:
-    """Lower bound for chi_s from the underlying graph: a greedy clique
-    size, raised to 3 when the underlying graph is not bipartite.  It is
-    a bound, not the underlying chi: the odd wheel W5 gets 3, not 4."""
+    """Lower bound for chi_s from the underlying graph: 2 when it is
+    bipartite (1 with no edge), else a greedy clique size, raised to 3.
+    It is a bound, not the underlying chi: the odd wheel W5 gets 3, not
+    4.  The graph is bipartite exactly when every edge joins BFS
+    distances of opposite parity, so no bipartite graph runs the clique
+    search."""
     if g.n == 0:
         return 0
-    k = _greedy_clique(g)
-    if k < 3:
-        # bipartite exactly when the all-negative signing is balanced
-        all_negative = [[(v, -1) for v, _ in a] for a in g.adjacency]
-        if _switch_flags(g, all_negative)[2] is not None:
-            return 3
-    return k
+    dist = [-1] * g.n
+    for root in range(g.n):
+        if dist[root] < 0:
+            bfs_from(g, [root], dist)
+    if all((dist[u] ^ dist[v]) & 1 for u, v, _ in g.edges):
+        return 2 if g.m else 1
+    return max(3, _greedy_clique(g))
 
 
 def _greedy_clique(g: SignedGraph) -> int:
-    best = 1
+    """The largest greedy clique grown from a vertex v: v, then each
+    neighbour by degree descending, ids ascending, that is adjacent to
+    all taken before.  After v's first pick only their common neighbours
+    can join, so a vertex on no triangle costs one set intersection."""
     adjacency = g.adjacency
     degree = [len(row) for row in adjacency].__getitem__
-    for v in sorted(range(g.n), key=degree, reverse=True):
-        clique = [v]
-        for w in sorted([w for w, _ in adjacency[v]], key=degree, reverse=True):
-            if all(g.has_edge(w, u) for u in clique):
-                clique.append(w)
-        best = max(best, len(clique))
+    nbrs = [{w for w, _ in row} for row in adjacency]
+    best = 1
+    for v, row in enumerate(adjacency):
+        if not row:
+            continue
+        first = max((w for w, _ in row), key=degree)
+        rest = nbrs[v] & nbrs[first]
+        size = 2
+        for w in sorted(rest, key=lambda w: (-degree(w), w)):
+            if w in rest:
+                size += 1
+                rest &= nbrs[w]
+        best = max(best, size)
     return best
 
 
@@ -661,13 +700,14 @@ def chromatic_number(g: SignedGraph, hi: Optional[int] = None) -> ChromaticCerti
         raise BadParameterError("chromatic number needs at least one vertex")
     base = underlying_chromatic_lower_bound(g)  # >= 1, as g has a vertex
     cap = min(hi, TARGET_ORDER_CAP) if hi is not None else TARGET_ORDER_CAP
+    source = _Source(g)  # shared by every target of every order
     exhausted = {}
     for k in range(base, cap + 1):
         targets = enumerate_targets(k)
         # one resumable search per target, run round-robin a turn at a
         # time; the first satisfied target wins, and a search that runs
         # out of literals refutes its target
-        running = [(target, _search_turns(g, target)) for target in targets]
+        running = [(target, _search_turns(g, target, source)) for target in targets]
         while running:
             still = []
             for target, search in running:

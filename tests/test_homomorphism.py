@@ -1,10 +1,12 @@
 import hashlib
 import random
 from collections import defaultdict
+from functools import cached_property
 from itertools import permutations
 
 import pytest
 
+from sgw import homomorphism
 from sgw.constructions import build_grid, grid_edges, make
 from sgw.core import bfs_order, build, connected_components
 from sgw.errors import (
@@ -96,19 +98,18 @@ def search_calls(g, h):
     component of g (the balance shortcut aside)."""
     reps, _, support = _target_search_data(h)
     full = (1 << (2 * h.n)) - 1
-    pos = [0] * g.n
     for comp in connected_components(g):
         root = max(comp, key=lambda v: (g.degree(v), -v))
         order = bfs_order(g, root)[0]
-        for i, v in enumerate(order):
-            pos[v] = i
-        yield g, order, full, reps, support, pos
+        pos = {v: i for i, v in enumerate(order)}
+        nbrs = [[(pos[w], s) for w, s in g.adjacency[v]] for v in order]
+        yield order, nbrs, full, reps, support, g.n + 1
 
 
-def unpruned(g, order, full, reps, support, pos):
+def unpruned(order, nbrs, full, reps, support, turn):
     """``_search`` arguments for the trivial group: every variable tries
     its whole domain, the root included."""
-    return g, order, full, defaultdict(lambda: full), support, pos
+    return order, nbrs, full, defaultdict(lambda: full), support, turn
 
 
 def search_oracle_pairs():
@@ -311,7 +312,7 @@ class TestFindHomomorphism:
             for args in search_calls(g, h):
                 full = args[2]  # the root domain too
                 turns, found = drain(_search(*unpruned(*args)))
-                scan_turns, scan_found = drain(scan_search(*args[:2], masks, full, full))
+                scan_turns, scan_found = drain(scan_search(g, args[0], masks, full, full))
                 assert found == scan_found
                 assert len(turns) <= len(scan_turns)
 
@@ -573,13 +574,53 @@ class TestChromaticNumber:
         with pytest.raises(BadParameterError):
             chromatic_number(build(0, []))
 
+    def test_source_set_up_is_built_once_per_call(self, monkeypatch):
+        # BC5□UC6 searches 12 targets, orders 3-5, on one BFS set-up and
+        # one balance check of the source, not one of each per target;
+        # a search into an unbalanced target never checks the source
+        g = cartesian_product(make("BC", 5), make("UC", 6))[0]
+        grid, spal5_star = random_grid(random.Random(149), 6), make("SPal5_star")
+        expected = chromatic_number(g)  # builds the targets' tables first
+        expected_phi = find_homomorphism(grid, spal5_star)
+        built, checked = [], []
+
+        class Counted(homomorphism._Source):
+            @cached_property
+            def components(self):
+                built.append(self.g)
+                return super().components
+
+        def counted_is_balanced(graph):
+            checked.append(graph)
+            return is_balanced(graph)
+
+        monkeypatch.setattr(homomorphism, "_Source", Counted)
+        monkeypatch.setattr(homomorphism, "is_balanced", counted_is_balanced)
+        cert = chromatic_number(g)
+        assert cert == expected and cert.k == 5
+        assert cert.lower_bound_evidence["exhausted_orders"] == {3: 2, 4: 3}
+        assert built == [g] and checked == [g]
+        assert find_homomorphism(grid, spal5_star) == expected_phi
+        assert built == [g, grid] and checked == [g]
+
     def test_underlying_lower_bound(self):
         assert underlying_chromatic_lower_bound(make("K_plus", 5)) == 5
         assert underlying_chromatic_lower_bound(make("BC", 5)) == 3
         assert underlying_chromatic_lower_bound(build(3, [])) == 1
+        assert underlying_chromatic_lower_bound(build(1, [])) == 1
         assert underlying_chromatic_lower_bound(build(0, [])) == 0
         # a bound, not the underlying chi: the odd wheel has clique 3, chi 4
         assert underlying_chromatic_lower_bound(_odd_wheel()) == 3
+        # bipartiteness is decided over every component, not the first
+        assert underlying_chromatic_lower_bound(
+            disjoint_union(make("K_plus", 2), make("BC", 5))) == 3
+        assert underlying_chromatic_lower_bound(build(5, [(2, 3, -1)])) == 2
+        # a clique in one component, an even cycle in the other
+        assert underlying_chromatic_lower_bound(
+            disjoint_union(make("K_minus", 4), make("BC", 6))) == 4
+        # triangle-free and not bipartite: the clique search gives 2
+        c5c5 = cartesian_product(make("BC", 5), make("BC", 5))[0]
+        assert underlying_chromatic_lower_bound(c5c5) == 3
 
     def test_odd_wheel_refutes_the_order_below(self):
         w5 = _odd_wheel()
