@@ -26,9 +26,13 @@ unbalanced source is refuted against a balanced target without search.
 
 One revision rule narrows every domain: a vertex cuts a neighbour's
 domain to the literals that some literal left to it allows.  Each new
-literal revises every unassigned neighbour, which is forward checking;
-where the search has already failed, each narrowed neighbour of a vertex
-wiped out before revises that vertex in turn, which is arc consistency.
+literal revises every unassigned neighbour, which is forward checking.
+After the search's first turn (below), every vertex that a revision
+narrows revises its unassigned neighbours in turn, which is arc
+consistency.  A turn is as many nodes as one backtrack-free descent, so
+a search that succeeds with little backtracking, such as a grid's, pays
+almost nothing for arc consistency, and one that outlasts a turn, such
+as a refutation, has it from then on, where it saves the most nodes.
 On a failure the search backjumps (forward checking with
 conflict-directed backjumping, FC-CBJ; Prosser, Computational
 Intelligence 9, 1993).  Every vertex records the stack depths whose
@@ -423,8 +427,8 @@ def _search_turns(g: SignedGraph, h: SignedGraph, source: Optional[_Source] = No
 
 def _search(order, nbrs, full, reps, support, turn):
     """Forward checking with conflict-directed backjumping (FC-CBJ), and
-    arc consistency where the search has failed, over literal bitmask
-    domains, as one revision rule, on one component of the source.
+    arc consistency after the first turn, over literal bitmask domains,
+    as one revision rule, on one component of the source.
 
     ``order`` and ``nbrs`` are the component's pair from ``_Source``:
     its BFS order and each position's (neighbour position, sign) pairs.
@@ -438,18 +442,23 @@ def _search(order, nbrs, full, reps, support, turn):
     once, so one undo loop restores domains and buckets alike.
 
     One rule narrows every domain: a source position with domain D and
-    explanation e cuts each neighbour k in its scope, across an edge of
+    explanation e cuts each unassigned neighbour k, across an edge of
     sign s, to ``domains[k] & support[s][D]``, the literals of k that
     some literal of D allows, and adds e to ``narrowed[k]``.  The literal
-    just tried at position i is the first source, with D its one literal,
-    e the current depth and every unassigned neighbour in scope: forward
-    checking, so domains always reflect all assigned neighbours.  A
-    position wiped out before in this search is hot, and a neighbour of a
-    hot one is warm.  Each warm position a revision narrows is queued and
-    is in turn a source, with its domain and ``narrowed``, whose scope is
-    its unassigned hot neighbours: arc consistency (MAC; Sabin and
-    Freuder, PPCP 1994) only where the search has already failed
-    (Stergiou, ECAI 2008).  A position a revision wipes out turns hot.
+    just tried at position i is the first source, with D its one literal
+    and e the current depth: forward checking, so domains always reflect
+    all assigned neighbours.  For the first ``turn`` nodes that is all.
+    From the first pause on, ``mac`` is -1 instead of 0, and each
+    position a revision narrows is queued and is in turn a source, with
+    its domain and ``narrowed``: maintained arc consistency (MAC; Sabin
+    and Freuder, PPCP 1994).  The switch reads nothing but the search's
+    own node count, and a turn is its unit because a turn is as many
+    nodes as one backtrack-free descent: a search still in its first
+    turn has backtracked little, and arc consistency would cost it
+    per-neighbour work that prunes almost nothing (a grid into SPal5*),
+    while a search that outlasts a turn is refuting or deep in a hard
+    descent, where it cuts the nodes most (the order-4 refutations of
+    cycle products).
 
     Backjumping (Prosser 1993): ``narrowed[j]`` is the bitmask of the
     stack depths whose literals narrowed position j's domain, and each
@@ -470,9 +479,9 @@ def _search(order, nbrs, full, reps, support, turn):
     entry per revision, newest first, so a position revised twice in one
     node gets back its value from before the node; a jump undoes the
     frames it passes over in the same loop, one a pass.  The search
-    decides as chronological backtracking does, but which positions are
-    hot depends on its history, so its map may differ from that search's
-    first one.
+    decides as chronological backtracking does, but arc consistency
+    changes domain sizes and so the variable order, and its map may
+    differ from that search's first one.
 
     A variable tries only ``reps[T]`` of its domain, one literal per orbit
     of the target symmetries that fix every literal on the path, T being
@@ -503,7 +512,7 @@ def _search(order, nbrs, full, reps, support, turn):
     domains = [full] * n
     narrowed = [0] * n  # depths whose literals narrowed each domain
     lits = [-1] * n
-    hot = warm = 0  # positions wiped out before, and their neighbours
+    mac = 0  # -1 once the first turn is over: narrowed positions revise too
     width = full.bit_length()
     bysize = [0] * (width + 1)
     bysize[width] = (1 << n) - 2  # every position but the root
@@ -541,12 +550,12 @@ def _search(order, nbrs, full, reps, support, turn):
         frame[1] = rest ^ low
         frame[2] = undo
         lits[i] = lit
-        # the new literal revises every unassigned neighbour, then each
-        # queued warm position j its unassigned hot ones
-        j, dj, nj, scope, queue = i, low, mark, -1, 0
+        # the new literal revises every unassigned neighbour, then, after
+        # the first turn, each queued narrowed position j its own
+        j, dj, nj, queue = i, low, mark, 0
         while True:
             for k, s in nbrs[j]:
-                if not scope >> k & 1 or lits[k] >= 0:
+                if lits[k] >= 0:
                     continue
                 old = domains[k]
                 try:
@@ -556,10 +565,6 @@ def _search(order, nbrs, full, reps, support, turn):
                 if new != old:
                     if not new:  # wiped out by k's and j's narrowers
                         frame[4] = conflict | (narrowed[k] | nj) & (mark - 1)
-                        if not hot >> k & 1:
-                            hot |= 1 << k
-                            for w, _ in nbrs[k]:
-                                warm |= 1 << w
                         lits[i] = -1
                         queue = 0
                         break
@@ -569,13 +574,13 @@ def _search(order, nbrs, full, reps, support, turn):
                     undo.append((k, old, narrowed[k]))
                     domains[k] = new
                     narrowed[k] |= nj
-                    queue |= bit & warm
+                    queue |= bit & mac
             if not queue:
                 break
             low = queue & -queue
             queue ^= low
             j = low.bit_length() - 1
-            dj, nj, scope = domains[j], narrowed[j], hot
+            dj, nj = domains[j], narrowed[j]
         if lits[i] < 0:
             continue
         if len(stack) == n:
@@ -584,6 +589,7 @@ def _search(order, nbrs, full, reps, support, turn):
         if not left:
             yield None
             left = turn
+            mac = -1
         # smallest domain among the unassigned variables
         size = 1
         while not bysize[size]:

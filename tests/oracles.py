@@ -334,11 +334,11 @@ def scan_search(g, order, allowed, full, root_domain):
     variable and value order, choosing each variable by rescanning all n
     positions, and backtracking one depth at a time where ``_search``
     jumps back over the depths that played no part in a failure, and
-    without the arc consistency ``_search`` maintains around the
-    positions wiped out before.  Both decide the same.  That propagation
-    depends on the search's history, so ``_search`` may return another
-    valid map than this search's first one; it returns the same one, in
-    no more turns, on every pair of the search oracle tests.
+    without the arc consistency ``_search`` maintains after its first
+    turn.  Both decide the same, ``_search`` in no more turns.  That
+    propagation changes domain sizes and so the variable order, and
+    ``_search`` may return another valid map than this search's first
+    one: it does on one pair of the search oracle tests.
 
     Backtracking with forward checking over literal bitmask domains.
 

@@ -36,6 +36,7 @@ from sgw.switching import equivalent, is_balanced, switch
 
 from oracles import (
     backtrack_isomorphic,
+    digest,
     naive_chromatic_number,
     pairwise_edge_masks,
     permutation_orbits,
@@ -104,6 +105,17 @@ def search_calls(g, h):
         pos = {v: i for i, v in enumerate(order)}
         nbrs = [[(pos[w], s) for w, s in g.adjacency[v]] for v in order]
         yield order, nbrs, full, reps, support, g.n + 1
+
+
+def validate_component(g, h, found):
+    """``validate`` for a {vertex: literal} map that ``_search`` returns
+    for one component of g, on the subgraph that component induces."""
+    verts = sorted(found)
+    pos = {v: i for i, v in enumerate(verts)}
+    sub = build(len(verts), [(pos[u], pos[v], s) for u, v, s in g.edges if u in pos])
+    return validate(sub, h, SignedHomomorphism(
+        tuple(found[v] >> 1 for v in verts),
+        frozenset(pos[v] for v in verts if found[v] & 1)))
 
 
 def unpruned(order, nbrs, full, reps, support, turn):
@@ -185,11 +197,15 @@ class TestFindHomomorphism:
                 assert validate(g, h, found)
 
     def test_propagation_decides_as_brute_force(self):
-        # arc consistency runs only after a wipe-out, so sources dense
-        # enough to fail somewhere, into every target of order <= 5
+        # sources dense enough to fail somewhere, into every target of
+        # order <= 5.  Arc consistency runs only after the first turn,
+        # which these rarely leave, so each pair is also searched with a
+        # turn of 2 nodes: past its root node, that search maintains arc
+        # consistency
         rng = random.Random(139)
         targets = [t for k in range(1, 6) for t in enumerate_targets(k)]
         answers = []
+        reached = 0
         for _ in range(30):
             g = random_connected_signed_graph(rng, 1, 9)
             for h in targets:
@@ -199,7 +215,13 @@ class TestFindHomomorphism:
                 if found is not None:
                     assert validate(g, h, found) and validate(g, h, expected)
                 answers.append(found is None)
+                (args,) = search_calls(g, h)
+                turns, found = drain(_search(*args[:-1], 2))
+                assert (found is None) == (expected is None)
+                assert found is None or validate_component(g, h, found)
+                reached += bool(turns)
         assert min(answers.count(True), answers.count(False)) >= 100
+        assert reached >= 300
 
     @pytest.mark.parametrize("n,edges,target", [
         (7, [(0, 1, 1), (0, 3, 1), (1, 2, 1), (1, 3, -1), (1, 4, -1), (2, 6, 1),
@@ -301,20 +323,27 @@ class TestFindHomomorphism:
                                  make("K_plus", 3)) is None
 
     def test_bucketed_selection_matches_scan_selection(self):
-        # same arguments, the same literal map or None, and no more turns
+        # same arguments, the same decision, a valid map, and no more turns
         # than the chronological reference that rescans every position per
         # node: backjumping skips only subtrees that hold no solution, and
-        # arc consistency removes only literals that extend to none; that
-        # the map is the same is no theorem but holds on all these pairs.
-        # Both run with the trivial group, so every domain is tried whole
+        # arc consistency removes only literals that extend to none.  Arc
+        # consistency changes domain sizes and so the variable order, and
+        # the map may differ (BC3□BC5 into the order-4 class with two
+        # negative triangles); the digest pins every map found.  Both run
+        # with the trivial group, so every domain is tried whole
+        maps = []
         for g, h in search_oracle_pairs():
             masks = _edge_masks(h)
             for args in search_calls(g, h):
                 full = args[2]  # the root domain too
                 turns, found = drain(_search(*unpruned(*args)))
                 scan_turns, scan_found = drain(scan_search(g, args[0], masks, full, full))
-                assert found == scan_found
+                assert (found is None) == (scan_found is None)
+                assert found is None or validate_component(g, h, found)
                 assert len(turns) <= len(scan_turns)
+                maps.append(found and sorted(found.items()))
+        assert digest(maps) == (
+            "7e4bcc7577d26d06c4609c3a5a98eaa4b7478b252d88fa4d1272c106ac7dd837")
 
     def test_stabilizer_pruning_matches_unpruned_search(self):
         # the subtree under a literal outside its orbit's least member is a
@@ -342,8 +371,9 @@ class TestFindHomomorphism:
         # BC5□UC5 maps to no signed K4.  Chronological backtracking took
         # 1,732 turns to refute K4- and 2,688 for the class with two
         # negative triangles; backjumping over the depths that played no
-        # part in a wipe-out took 3 and 1,673, and arc consistency around
-        # the vertices wiped out before takes 2 and 57
+        # part in a wipe-out took 3 and 1,673, arc consistency around the
+        # vertices wiped out before 2 and 57, and arc consistency
+        # everywhere after the first turn takes 2 and 4
         g = cartesian_product(make("BC", 5), make("UC", 5))[0]
         k4_minus, two_negative, balanced = enumerate_targets(4)
         assert signed_isomorphic(k4_minus, make("K_minus", 4))
@@ -354,10 +384,11 @@ class TestFindHomomorphism:
         assert turns[-1] is False and len(turns) <= 100
 
     @pytest.mark.parametrize("left,right,turns", [
-        (("BC", 5), ("UC", 5), [2, 57, 1]),
-        (("BC", 5), ("UC", 6), [1, 93, 1]),
-        (("UC", 6), ("UC", 5), [2, 212, 1]),
-    ], ids=["BC5xUC5", "BC5xUC6", "UC6xUC5"])
+        (("BC", 5), ("UC", 5), [2, 4, 1]),
+        (("BC", 5), ("UC", 6), [2, 31, 1]),
+        (("UC", 6), ("UC", 5), [2, 154, 1]),
+        (("UC", 5), ("BC", 7), [2, 121, 1]),
+    ], ids=["BC5xUC5", "BC5xUC6", "UC6xUC5", "UC5xBC7"])
     def test_order_four_turn_lists(self, left, right, turns):
         # every order-4 refutation's yields, one count per target: any
         # change to what propagation prunes or to its undo shows here.
