@@ -66,8 +66,9 @@ coordinatizes is sigma's.
    need only relate each edge to the edges of one spanning tree (Feder).
    Pass 2 is tau, and the star starts factorize's BFS tree from 0, so
    joining the other tree edges pc (p the least neighbour of c one level
-   down) gives sigma.  Nothing proves that the star suffices, so this
-   pass stays as the complete last one.  Two BFS per tree edge, O(n * m).
+   down) gives sigma.  The star can fall short: on a prime graph of 8
+   vertices, the least such order, passes 1 to 3 leave two colors.  Two
+   BFS per tree edge, O(n * m).
 
 A graph of prime order is prime, as factor orders multiply to n: its one
 pass joins every edge to edge 0.
@@ -93,7 +94,7 @@ class OrdinaryDecomposition:
 
 def factorize(g: SignedGraph) -> OrdinaryDecomposition:
     """Unique prime decomposition of the underlying graph of ``g``."""
-    color, sizes, rank, pairs = _product_coloring(g)
+    color, sizes, rank, pairs = _product_coloring(g, *_prologue(g))
     coords = list(product(*map(range, sizes)))  # indexed by rank
     factors = tuple(SignedGraph(size, [(a, b, 1) for a, b in edges if a < b])
                     for size, edges in zip(sizes, pairs))
@@ -108,17 +109,9 @@ def is_prime_ordinary(g: SignedGraph) -> bool:
     return len(factorize(g).factors) == 1
 
 
-def _product_coloring(g: SignedGraph):
-    """Sigma's coloring of ``g`` as ``_coordinatize`` returns it."""
-    if g.m == 0:
-        raise NoEdgesError("cannot factorize an edgeless graph")
-    order, dist = bfs_order(g, 0)
-    if len(order) < g.n:
-        raise DisconnectedError("factorization needs a connected graph")
-    # per vertex: neighbor -> edge id; g.edges is sorted, so in g.adjacency's order
-    eid = [{} for _ in range(g.n)]
-    for idx, (u, v, _) in enumerate(g.edges):
-        eid[u][v] = eid[v][u] = idx
+def _product_coloring(g: SignedGraph, eid, order, dist):
+    """Sigma's coloring of ``g`` as ``_coordinatize`` returns it, from what
+    ``_prologue`` gives."""
     ds = DisjointSet(g.m)
     # factor orders multiply to n: a graph of prime order has one color
     passes = [_one_color] if _is_prime(g.n) else [_root_joins, _tau, _theta_star, _theta_tree]
@@ -128,6 +121,20 @@ def _product_coloring(g: SignedGraph):
         if found is not None:
             return found
     raise InternalInvariantViolation("the product relation did not coordinatize")
+
+
+def _prologue(g: SignedGraph):
+    """Per vertex, neighbor -> edge id, and the BFS order and distances from 0."""
+    if g.m == 0:
+        raise NoEdgesError("cannot factorize an edgeless graph")
+    order, dist = bfs_order(g, 0)
+    if len(order) < g.n:
+        raise DisconnectedError("factorization needs a connected graph")
+    # g.edges is sorted, so each vertex's map is in g.adjacency's order
+    eid = [{} for _ in range(g.n)]
+    for idx, (u, v, _) in enumerate(g.edges):
+        eid[u][v] = eid[v][u] = idx
+    return eid, order, dist
 
 
 def _one_color(g, eid, order, dist):
@@ -173,7 +180,7 @@ def _tau(g, eid, order, dist):
 
 def _coordinatize(g, eid, color, order, dist):
     """(color, sizes, rank, pairs) if ``color`` is a product coloring, else None:
-    layer sizes, ranks, factor edges by layer index both ways (module docstring)."""
+    layer sizes, ranks, factor edges (i, j) -> sign both ways by layer index."""
     layers = []  # of each color through vertex 0, ordered by BFS
     for c in range(max(color) + 1):
         seen = {0}
@@ -196,7 +203,7 @@ def _coordinatize(g, eid, color, order, dist):
     pairs = []
     for c, layer in enumerate(layers):
         pos = {u: i for i, u in enumerate(layer)}
-        pairs.append({(pos[u], pos[w]) for u in layer
+        pairs.append({(pos[u], pos[w]): g.edges[e][2] for u in layer
                       for w, e in eid[u].items() if color[e] == c})
     # exact reconstruction: edge count of the product must match
     if sum(len(p) // 2 * (g.n // s) for p, s in zip(pairs, sizes)) != g.m:

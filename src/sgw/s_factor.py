@@ -9,10 +9,10 @@ balances the input's signs times those of the product of the factors,
 so switching the input by it gives that product edge for edge.
 
 Both functions read the ordinary coloring as factor_ordinary verifies
-it, a color per edge, the layer sizes and each vertex's rank, and build
-no coordinate tuples or ordinary factors; s_decompose reads each
-factor's signs off its base layer by the s-rank, the rank regrouped by
-class.
+it.  Grouping the colors of a product coloring gives another, so after
+a join s_decompose coordinatizes the classes the same way, and a refusal
+is a bug.  Either way each factor comes with its signs and, as
+factorize's, its vertices in BFS order of its layer through vertex 0.
 
 Why the rule is sound.  Call a square mixed when its two edge colors lie
 in different classes.
@@ -52,11 +52,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 
 from .core import SignedGraph, is_connected
 from .errors import InternalInvariantViolation
-from .factor_ordinary import _is_prime, _product_coloring
+from .factor_ordinary import _coordinatize, _is_prime, _product_coloring, _prologue
 from .product import CoordinateSystem
 from .switching import _switch_flags
 
@@ -71,40 +70,23 @@ class SDecomposition:
 
 def s_decompose(g: SignedGraph) -> SDecomposition:
     """Prime s-decomposition of a connected signed graph with >= 1 edge."""
-    color, sizes, rank, _ = _product_coloring(g)
-    adjacency = g.adjacency
+    eid, order, dist = _prologue(g)
+    edge_class, sizes, rank, pairs = _product_coloring(g, eid, order, dist)
     # each color its own class first; the squares only after an unbalanced ratio
     for scan in (False, True):
-        root = _joined_colors(g, color, sizes, rank) if scan else list(range(len(sizes)))
-        roots = sorted(set(root))
-        classes = [[j for j, r in enumerate(root) if r == c] for c in roots]
-        class_of = [roots.index(r) for r in root]
-        edge_class = tuple(class_of[c] for c in color)
-
-        # the s-rank: each rank's ordinary digits regrouped class by class,
-        # digit j weighing place[j]; a table by rank, built digit by digit
-        grouped = [j for members in classes for j in members]
-        place = [prod(sizes[i] for i in grouped[grouped.index(j) + 1:]) for j in range(len(sizes))]
-        srank = [0]
-        for size, w in zip(sizes, place):
-            srank = [r + d for r in srank for d in range(0, size * w, w)]
-        srank = [srank[r] for r in rank]
-        at = dict(zip(srank, range(g.n)))  # vertex of each s-rank
-
-        # factor c: the input's layer of class c through vertex 0, the
-        # vertices of s-rank i * stride, whose edges all have class c
-        digit = []  # per class: its stride, its size and (i, j) -> sign
-        for members in classes:
-            stride, size = place[members[-1]], prod(sizes[j] for j in members)
-            digit.append((stride, size, {
-                (i, srank[v] // stride): s for i in range(size) for v, s in adjacency[at[i * stride]]
-                if srank[v] < size * stride and not srank[v] % stride}))
-
+        if scan:
+            root = _joined_colors(g, edge_class, sizes, rank)
+            roots = sorted(set(root))
+            found = _coordinatize(g, eid, [roots.index(root[c]) for c in edge_class], order, dist)
+            if found is None:
+                raise InternalInvariantViolation("the joined colors did not coordinatize")
+            edge_class, sizes, rank, pairs = found
+        table = list(product(*map(range, sizes)))  # indexed by rank
+        coords = [table[r] for r in rank]
         # the input's signs times the product's, in g.adjacency's order
         ratio = [[] for _ in range(g.n)]
         for (u, v, s), c in zip(g.edges, edge_class):
-            stride, size, signs = digit[c]
-            r = s * signs[srank[u] // stride % size, srank[v] // stride % size]
+            r = s * pairs[c][coords[u][c], coords[v][c]]
             ratio[u].append((v, r))
             ratio[v].append((u, r))
         x, _, bad = _switch_flags(g, ratio)
@@ -112,12 +94,10 @@ def s_decompose(g: SignedGraph) -> SDecomposition:
             break
     else:
         raise InternalInvariantViolation("the s-factors' product is no switching of the input")
-    # distinct pairs renumbered one to one from the input's: canonical once sorted
+    # class c's layer through 0, distinct pairs renumbered one to one: canonical once sorted
     factors = tuple(SignedGraph._canonical(size, sorted(
-        (a, b, s) for (a, b), s in signs.items() if a < b)) for _, size, signs in digit)
-    scoords = list(product(*(range(f.n) for f in factors)))  # indexed by s-rank
-    cs = CoordinateSystem(factors, tuple(scoords[r] for r in srank))
-    return SDecomposition(factors, cs, switch_set=x, factor_of_edge=edge_class)
+        (a, b, s) for (a, b), s in signs.items() if a < b)) for size, signs in zip(sizes, pairs))
+    return SDecomposition(factors, CoordinateSystem(factors, tuple(coords)), x, tuple(edge_class))
 
 
 def is_s_prime(g: SignedGraph) -> bool:
@@ -126,7 +106,7 @@ def is_s_prime(g: SignedGraph) -> bool:
     graph of prime order is, as factor orders multiply to n."""
     if _is_prime(g.n) and is_connected(g):
         return True
-    return set(_joined_colors(g, *_product_coloring(g)[:3])) == {0}
+    return set(_joined_colors(g, *_product_coloring(g, *_prologue(g))[:3])) == {0}
 
 
 def _joined_colors(g: SignedGraph, color, sizes, rank) -> list[int]:

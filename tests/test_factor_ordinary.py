@@ -418,9 +418,24 @@ class TestThetaStar:
             assert digest(g) == inputs
             assert digest([dec.edge_color, dec.coords.coords]) == outputs
 
+    def test_the_tree_is_needed(self, monkeypatch):
+        # a prime graph on 8 vertices, the least order at which the star
+        # can fall short (no connected graph on 4 or 6 vertices does): the
+        # root, tau and the star each leave the same two colors, which do
+        # not coordinatize, and only the rest of the tree joins them
+        g = build(8, [(u, v, 1) for u, v in ((0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (2, 6),
+                                               (3, 5), (3, 7), (4, 5), (5, 6), (6, 7))])
+        assert brute_force_is_prime(g)
+        passes = recorded_passes(monkeypatch, g)
+        assert [name for name, *_ in passes] == list(PASSES)
+        two = [0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1]
+        assert [color for *_, color in passes] == [two] * 3 + [[0] * 11]
+        assert coordinatized(g, two) is None
+        assert [(f.n, f.m) for f in factorize(g).factors] == [(8, 11)]
+
     def test_full_theta_when_the_star_is_refused(self, monkeypatch):
-        # nothing proves that the star suffices: with its coloring never
-        # tried, the rest of the tree must still give sigma
+        # the star does not always suffice (test_the_tree_is_needed): with
+        # its coloring never tried, the rest of the tree must still give sigma
         refused = []
         theta_star, theta_tree = factor_ordinary._theta_star, factor_ordinary._theta_tree
 
@@ -478,7 +493,7 @@ def recorded_passes(monkeypatch, g: SignedGraph):
             patch.setattr(factor_ordinary, name, recording(name, getattr(factor_ordinary, name)))
         patch.setattr(factor_ordinary, "_coordinatize", tried)
         patch.setattr(factor_ordinary, "_is_prime", lambda n: False)
-        factor_ordinary._product_coloring(g)
+        factor_ordinary._product_coloring(g, *factor_ordinary._prologue(g))
     return passes
 
 

@@ -7,7 +7,7 @@ import pytest
 from sgw.constructions import make
 from sgw.core import SignedGraph, build
 from sgw.errors import DisconnectedError, InternalInvariantViolation, NoEdgesError
-from sgw.factor_ordinary import _product_coloring, factorize
+from sgw.factor_ordinary import _product_coloring, _prologue, factorize
 from sgw.homomorphism import signed_isomorphic
 from sgw.product import product_many
 from sgw import s_factor
@@ -202,7 +202,7 @@ class TestSDecompose:
             else:
                 g = flip_one(rng, g)
             g = switch(g, [v for v in range(g.n) if rng.random() < 0.5])
-            color, sizes, rank, _ = _product_coloring(g)
+            color, sizes, rank, _ = _product_coloring(g, *_prologue(g))
             root = s_factor._joined_colors(g, color, sizes, rank)
             roots = sorted(set(root))
             assert s_decompose(g).factor_of_edge == tuple(roots.index(root[c]) for c in color)
@@ -279,17 +279,20 @@ class TestNegativeSquares:
             graphs += [g, flip_one(rng, g), signs]
         assert len(graphs) >= 900
         assert digest(graphs) == "9075b29d49806f6988897c2ac76f61c107a95ce881b715ebbcbc9508c91e4d3c"
-        # pinned where the coordinates, the factor of each edge and each
-        # factor's switching class equalled those of the BFS merge pass
-        outputs = []
+        # the switch sets and the factor of each edge, pinned where they
+        # equalled those of the BFS merge pass; the whole output, pinned
+        # with each s-factor labelled in BFS order of its class layer
+        fixed, outputs = [], []
         for g in graphs:
             dec = s_decompose(g)
+            fixed.append((dec.switch_set, dec.factor_of_edge))
             outputs.append((dec.coords.coords, dec.factor_of_edge,
                             [canonical_form(f)[0] for f in dec.factors]))
             assert is_s_prime(g) == (len(dec.factors) == 1)
             rebuilt = reconstruct_product(dec.factors, dec.coords.coords)
             assert rebuilt == switch(g, dec.switch_set)
-        assert digest(outputs) == "09b98a8520122d0f44fa241920d83fc6755845880590710be840a01b2dc66ae4"
+        assert digest(fixed) == "c094eb1fab5c780fa4974c5f15b277379240d3d792aa13c1d8ae93b70b27fef0"
+        assert digest(outputs) == "fc98964419c38f556e32f0951750bb3983844145d5a423eed4d58a1f36093d41"
 
     def test_a_join_stays_local(self):
         rng = random.Random(1201)
@@ -309,6 +312,44 @@ class TestNegativeSquares:
         # so the switch set leaves every base-layer vertex unswitched
         on_base = [u for u, cu in enumerate(coords) if sum(x > 0 for x in cu) <= 1]
         assert dec.switch_set.isdisjoint(on_base)
+
+
+class TestClassLayers:
+    def test_factor_vertices_in_bfs_order_of_their_class_layer(self):
+        # vertex i of s-factor c is the i-th vertex that a BFS from vertex
+        # 0 over the edges of class c reaches: on a balanced product, on a
+        # partial join (UC5 x K3+ with one sign toggled, times BC5) and on
+        # an s-prime perturbed product
+        rng = random.Random(1500)
+        balanced, _ = product_many([make("UC", 3), make("BC", 4), make("UC", 5)])
+        balanced = switch(balanced, [v for v in range(balanced.n) if rng.random() < 0.5])
+        p, _ = product_many([make("UC", 5), make("K_plus", 3)])
+        toggled = SignedGraph(p.n, [(u, v, -s if j == 0 else s) for j, (u, v, s) in enumerate(p.edges)])
+        partial, _ = product_many([toggled, make("BC", 5)])
+        shapes = []
+        for g in (balanced, partial, decompose_inputs((1,))[6]):
+            dec = s_decompose(g)
+            shapes.append([f.n for f in dec.factors])
+            class_of = {(u, v): c for (u, v, _), c in zip(g.edges, dec.factor_of_edge)}
+            for c, f in enumerate(dec.factors):
+                layer, seen = [0], {0}
+                for u in layer:
+                    for w, _ in g.adjacency[u]:
+                        if w not in seen and class_of[min(u, w), max(u, w)] == c:
+                            seen.add(w)
+                            layer.append(w)
+                at = [dec.coords.vertex([i if d == c else 0 for d in range(len(dec.factors))])
+                      for i in range(f.n)]
+                assert at == layer
+                assert f == SignedGraph(f.n, _base_layer(g, dec.coords.coords, c))
+        assert shapes == [[5, 2, 2, 3], [5, 15], [1000]]
+
+    def test_classes_that_do_not_coordinatize_are_a_bug(self, monkeypatch):
+        # only the second coordinatization, of the joined colors, is refused
+        monkeypatch.setattr(s_factor, "_coordinatize", lambda *args: None)
+        assert len(s_decompose(product_many([make("UC", 3), make("BC", 4)])[0]).factors) == 3
+        with pytest.raises(InternalInvariantViolation, match="joined colors did not coordinatize"):
+            s_decompose(make("UC", 4))
 
 
 class TestPerturbedParityProducts:
@@ -350,10 +391,14 @@ class TestPairKeyedParity:
         assert len(graphs) == 200
         graphs += decompose_inputs((1, 2, 3))
         assert digest(graphs) == "78b777fc9b1665d61cf4b5d221801f220de91608960de77802c25a238c505e5a"
-        # pinned where every field equalled the pair-keyed decomposition's
-        outputs = []
+        # the switch sets and the factor of each edge, pinned where every
+        # field equalled the pair-keyed decomposition's; the whole output,
+        # pinned with each s-factor labelled in BFS order of its class layer
+        fixed, outputs = [], []
         for g in graphs:
             dec = s_decompose(g)
+            fixed.append((dec.switch_set, dec.factor_of_edge))
             outputs.append((dec.factors, dec.coords.factors, dec.coords.coords,
                             dec.switch_set, dec.factor_of_edge))
-        assert digest(outputs) == "7d10f1f5c2d7fe4193f150dc0312128c3f8a78a79dac4dce6ffd3f053da7251b"
+        assert digest(fixed) == "139668ded0775dc3a8a342666de9b94e7f47b0d7f987a81e382d0c58e0722bf7"
+        assert digest(outputs) == "49ef01c0fe185179477b218f2225a4f9ceca341069a9871ef71b079b7c8d874e"
